@@ -35,13 +35,7 @@ from .penalty_solver import (
     q5_toy_landscape,
     run_continuation,
 )
-from .residuals import (
-    ResidualSpec,
-    kkt_residual,
-    kkt_residual_squared,
-    min_residual,
-    product_residual,
-)
+from .residuals import ResidualSpec, min_residual, residual_value
 from . import reproduce as repro
 
 _EXIT_BY_CLASS = {CLASS_FEASIBLE: 0, CLASS_INFEASIBLE: 2, CLASS_LIMIT: 3}
@@ -76,7 +70,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-stat", type=float, default=1e-6, help="stationarity tolerance")
     p.add_argument("--max-outer", type=int, default=12)
     p.add_argument("--max-inner", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--norm", choices=("l1", "l2"), default="l2")
     p.add_argument("--residual", choices=("min", "product", "kkt"), default="kkt")
     p.add_argument("--variant", choices=("squared", "norm"), default="squared",
@@ -97,7 +90,7 @@ def _config_from_args(args) -> PenaltyConfig:
     return PenaltyConfig(alpha0=alpha0, growth=args.growth, eps_feas=args.eps_feas,
                          eps_stat=args.eps_stat, max_outer=args.max_outer,
                          max_inner=args.max_inner, gamma=args.gamma, residual=spec,
-                         seed=args.seed, alpha_fixed=fixed)
+                         alpha_fixed=fixed)
 
 
 def _start_point(problem, args) -> KktPoint | None:
@@ -166,20 +159,11 @@ def _cmd_residual(args) -> int:
         problem = parse_problem_file(args.problem)
         x = _parse_vector(args.x)
         y = _parse_vector(args.y)
-        if args.residual == "kkt":
-            lam = (_parse_vector(args.lam) if args.lam is not None
-                   else np.clip(eval_F(problem, x, y), 0.0, problem.multiplier_bound))
-            z = KktPoint(x, y, lam)
-            if args.variant == "squared":
-                value = kkt_residual_squared(problem, z)
-            else:
-                value = kkt_residual(problem, z, ResidualSpec("kkt", args.norm, args.gamma))
-        else:
-            w = eval_F(problem, x, y)
-            if args.residual == "min":
-                value = min_residual(y, w, args.norm)
-            else:
-                value = product_residual(y, w)
+        lam = (_parse_vector(args.lam) if args.lam is not None
+               else np.clip(eval_F(problem, x, y), 0.0, problem.multiplier_bound))
+        spec = ResidualSpec(args.residual, args.norm, args.gamma,
+                            squared_stationarity=(args.variant == "squared"))
+        value = residual_value(problem, KktPoint(x, y, lam), spec)
     except (MpecError, ValueError) as exc:
         return _fail(str(exc))
     _emit({"kind": args.residual, "norm": args.norm, "value": value})
@@ -190,24 +174,20 @@ def _probe_fixture(args) -> int:
     count, seed = args.count, args.seed
     rows: list[tuple[str, float, float]] = []
     summary: dict = {"fixture": args.fixture}
+    samples = None  # (distance, residual) pairs of the exponent-fit fixtures
     if args.fixture == "linear-halfspace":
         cloud = sample_cloud(None, [[-1.0, 1.0], [-1.0, 1.0]], count, seed)
         samples = [(max(p[0], 0.0), max(p[0], 0.0)) for p in cloud]
-        est = fit_exponent(samples)
-        rows = [(str(i), r, d) for i, (d, r) in enumerate(samples)]
     elif args.fixture == "quad-scalar":
         cloud = sample_cloud(None, [[-1.0, 1.0]], count, seed)
         samples = [(abs(p[0]), p[0] ** 2) for p in cloud]
-        est = fit_exponent(samples)
-        rows = [(str(i), r, d) for i, (d, r) in enumerate(samples)]
     elif args.fixture == "lcp-q2":
-        lcp = LcpInstance([[2.0, 0.0], [0.0, 1.0]], [-1.0, 0.0])
+        doc = repro.load_case("quad-exponent").doc
+        lcp = LcpInstance(doc["lcp_M"], doc["lcp_q"])
         sols = solve_lcp_enumerate(lcp)
-        cloud = sample_cloud(lcp, [[-1.0, 2.0], [-1.0, 2.0]], count, seed)
+        cloud = sample_cloud(lcp, doc["lcp_box"], count, seed)
         samples = [(distance_to_solution_set(p, sols),
                     min_residual(p, lcp.slack(p), "l2")) for p in cloud]
-        est = fit_exponent(samples)
-        rows = [(str(i), r, d) for i, (d, r) in enumerate(samples)]
     elif args.fixture in ("hoffman-halfspace", "hoffman-corner"):
         cloud = sample_cloud(None, [[-1.0, 1.0], [-1.0, 1.0]], count, seed)
         A, a = [[1.0, 0.0]], [0.0]
@@ -219,6 +199,9 @@ def _probe_fixture(args) -> int:
             rows.append((str(i), r, d))
     else:
         return _fail(f"unknown fixture {args.fixture!r}")
+    if samples is not None:
+        est = fit_exponent(samples)
+        rows = [(str(i), r, d) for i, (d, r) in enumerate(samples)]
     print("id\tresidual\tdistance")
     for sid, r, d in rows:
         print(f"{sid}\t{r!r}\t{d!r}")
@@ -231,11 +214,11 @@ def _probe_fixture(args) -> int:
 def _probe_ray(args) -> int:
     if args.ray != "q1":
         return _fail(f"unknown ray fixture {args.ray!r}")
-    lcp = LcpInstance([[0.0, -1.0], [1.0, 0.0]], [-1.0, 2.0])
-    ts = [1.0, 10.0, 100.0, 10000.0]
-    nominal = [[1.0, 1.0], [0.0, 2.0]]
-    rep_typo = ray_divergence_test(lcp, [0.0, 1.0], [1.0, 0.0], ts)
-    rep = ray_divergence_test(lcp, [0.0, 1.0], [1.0, 0.0], ts, solutions=nominal)
+    doc = repro.load_case("q1-ray").doc
+    lcp = LcpInstance(doc["M"], doc["q"])
+    ray = (lcp, doc["base"], doc["direction"], doc["t_values"])
+    rep_typo = ray_divergence_test(*ray)
+    rep = ray_divergence_test(*ray, solutions=doc["nominal_solutions"])
     print("t\tresidual\tdistance")
     for s in rep.rows:
         print(f"{s.t!r}\t{s.residual!r}\t{s.distance!r}")
@@ -246,11 +229,12 @@ def _probe_ray(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    if args.ray is not None:
-        return _probe_ray(args)
-    if args.fixture is None:
+    if args.ray is None and args.fixture is None:
         return _fail("probe needs --fixture or --ray")
-    return _probe_fixture(args)
+    try:
+        return _probe_ray(args) if args.ray is not None else _probe_fixture(args)
+    except (MpecError, OSError) as exc:
+        return _fail(str(exc))
 
 
 def _cmd_reproduce(args) -> int:

@@ -127,6 +127,9 @@ class QuadObjective:
         object.__setattr__(self, "x_lin", x_lin)
         object.__setattr__(self, "y_lin", y_lin)
         object.__setattr__(self, "const", float(self.const))
+        # symmetric parts of the Hessian blocks, formed once for grad
+        object.__setattr__(self, "_hxx", 0.5 * (xx + xx.T))
+        object.__setattr__(self, "_hyy", 0.5 * (yy + yy.T))
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "QuadObjective":
@@ -143,8 +146,8 @@ class QuadObjective:
     def grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        gx = 0.5 * (self.xx + self.xx.T) @ x + self.xy @ y + self.x_lin
-        gy = self.xy.T @ x + 0.5 * (self.yy + self.yy.T) @ y + self.y_lin
+        gx = self._hxx @ x + self.xy @ y + self.x_lin
+        gy = self.xy.T @ x + self._hyy @ y + self.y_lin
         return gx, gy
 
 

@@ -28,8 +28,7 @@ and custom one-dimensional constructions.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +58,6 @@ class PenaltyConfig:
     gamma: float = 0.5
     residual: ResidualSpec = field(default_factory=lambda: ResidualSpec(
         kind=res.KIND_KKT, norm=res.NORM_L2, gamma=0.5, squared_stationarity=True))
-    seed: int = 0
     alpha_fixed: bool = False
     inner_tol: float = 1e-9
     residual_decrease: float = 0.5
@@ -102,24 +100,13 @@ class SolveReport:
         return self.objective_history[-1]
 
     def to_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "final_point": {
-                "x": self.final_point.x.tolist(),
-                "y": self.final_point.y.tolist(),
-                "lambda": self.final_point.lam.tolist(),
-            },
-            "final_objective": self.final_objective,
-            "final_residual": self.final_residual,
-            "stationarity_measure": self.stationarity_measure,
-            "alpha_history": self.alpha_history,
-            "residual_history": self.residual_history,
-            "objective_history": self.objective_history,
-            "penalized_history": self.penalized_history,
-            "gamma": self.gamma,
-            "residual_kind": self.residual_kind,
-            "stationarity_variant": self.stationarity_variant,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        point = self.final_point
+        doc["final_point"] = {"x": point.x.tolist(), "y": point.y.tolist(),
+                              "lambda": point.lam.tolist()}
+        doc["final_objective"] = self.final_objective
+        doc["final_residual"] = self.final_residual
+        return doc
 
 
 @dataclass(frozen=True)
@@ -136,7 +123,7 @@ class Landscape:
     objective_slope: Callable[[np.ndarray, np.ndarray], float]
     #: gradient of objective + alpha*sqrt(residual), None when unavailable
     sqrt_grad: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    #: maps a raw iterate to a KktPoint for reporting
+    #: maps a raw iterate to a KktPoint for reporting (default: all of it as x)
     as_point: Optional[Callable[[np.ndarray], KktPoint]] = None
     #: extra poll directions that follow the feasible manifold, or None
     tangent_polls: Optional[Callable[[np.ndarray], list[np.ndarray]]] = None
@@ -151,24 +138,10 @@ class Landscape:
 
 def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscape:
     n, m = problem.n, problem.m
-
-    def objective(z):
-        return problem.f_value(z[:n], z[n:n + m])
-
-    def residual(z):
-        return res.residual_value(problem, problem.split(z), spec)
-
-    def expansion(z, d):
-        return res.residual_expansion(problem, problem.split(z), d, spec)
-
-    def objective_slope(z, d):
-        gx, gy = problem.f_grad(z[:n], z[n:n + m])
-        return float(gx @ d[:n] + gy @ d[n:n + m])
-
+    kernel = res._Kernel(problem, spec)
     sqrt_grad = None
     if spec.kind == res.KIND_KKT and spec.squared_stationarity:
-        def sqrt_grad(z, alpha):
-            return res.grad_penalized_sqrt(problem, problem.split(z), alpha)
+        sqrt_grad = kernel.sqrt_grad
 
     M, Q = problem.M, problem.qmap.Q
 
@@ -206,7 +179,7 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
                         if not np.all(np.isfinite(dy)):
                             continue
                     dl = np.zeros(m)
-                    slack_rate = M @ dy + Q @ dx
+                    slack_rate = kernel.rate(dx, dy)
                     dl[inact] = slack_rate[inact]
                     d = np.concatenate([dx, dy, dl])
                     scale = float(np.max(np.abs(d)))
@@ -216,10 +189,10 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
         return dirs
 
     return Landscape(lower=problem.z_lower, upper=problem.z_upper,
-                     objective=objective, residual=residual,
-                     expansion=expansion, objective_slope=objective_slope,
-                     sqrt_grad=sqrt_grad,
-                     as_point=lambda z: problem.split(z),
+                     objective=kernel.objective, residual=kernel.residual,
+                     expansion=kernel.expansion,
+                     objective_slope=kernel.objective_slope,
+                     sqrt_grad=sqrt_grad, as_point=problem.split,
                      tangent_polls=tangent_polls)
 
 
@@ -254,8 +227,7 @@ def q5_toy_landscape() -> Landscape:
 
     return Landscape(lower=lower, upper=upper, objective=objective,
                      residual=residual, expansion=expansion,
-                     objective_slope=objective_slope, sqrt_grad=None,
-                     as_point=lambda z: KktPoint(z, np.zeros(0), np.zeros(0)))
+                     objective_slope=objective_slope)
 
 
 # -- inner solver ---------------------------------------------------------
@@ -383,9 +355,8 @@ def stationarity_measure(land: Landscape, z: np.ndarray, alpha: float,
             if sign < 0 and z[j] <= land.lower[j] + boundary_tol:
                 continue
             d[j] = sign
-            r0, slope, curve = land.expansion(z, d)
-            ps = res.power_slope(r0, slope, curve, gamma)
-            ddi = math.inf if math.isinf(ps) else land.objective_slope(z, d) + alpha * ps
+            ddi = res._penalized_slope(land.objective_slope, land.expansion, z, d,
+                                       alpha, gamma)
             d[j] = 0.0
             if ddi < worst:
                 worst = ddi
@@ -461,16 +432,6 @@ def penalty_continuation(problem: MpecProblem, config: PenaltyConfig,
     start = z0 if z0 is not None else default_start(problem)
     start.check_dims(problem)
     return run_continuation(land, config, start.to_z())
-
-
-def classify_result(report: SolveReport, eps_feas: float,
-                    eps_stat: float = 1e-6) -> str:
-    """Re-derive the outcome class from a finished report."""
-    if report.final_residual <= eps_feas:
-        return CLASS_FEASIBLE
-    if report.stationarity_measure <= eps_stat:
-        return CLASS_INFEASIBLE
-    return CLASS_LIMIT
 
 
 def random_starts(land_or_problem, count: int, seed: int = 0) -> list[np.ndarray]:

@@ -44,19 +44,6 @@ from .residuals import (
     penalized_objective,
 )
 
-CASE_IDS = (
-    "q1-ray",
-    "q2-bilevel-order1",
-    "q2-bilevel-sqrt",
-    "q3-dirderiv",
-    "addq1-residual",
-    "addq2-lcp",
-    "addq3-sqrt-necessity",
-    "q5-infeasible",
-    "hoffman",
-    "quad-exponent",
-)
-
 _PROVENANCE_TAGS = {"paper", "trivial", "derived"}
 
 
@@ -130,8 +117,7 @@ def _sq_spec(gamma: float) -> ResidualSpec:
 
 # -- cases ----------------------------------------------------------------
 
-def _run_q1_ray(case: ReproCase) -> CaseResult:
-    out = CaseResult(case.id)
+def _run_q1_ray(case: ReproCase, out: CaseResult) -> None:
     doc = case.doc
     lcp = LcpInstance(doc["M"], doc["q"])
     want = case.expected["residual_on_ray"]["value"]
@@ -155,12 +141,9 @@ def _run_q1_ray(case: ReproCase) -> CaseResult:
     out.add("refuted-vs-nominal",
             rep2.refuted == case.expected["refuted_vs_nominal"]["value"],
             f"refuted={rep2.refuted}, note={rep2.note[:24]!r}")
-    _check_provenance(case, out)
-    return out
 
 
-def _run_q2_bilevel_order1(case: ReproCase) -> CaseResult:
-    out = CaseResult(case.id)
+def _run_q2_bilevel_order1(case: ReproCase, out: CaseResult) -> None:
     prob = _problem(case)
     spec = _sq_spec(1.0)
     origin = KktPoint(np.zeros(1), np.zeros(1), np.zeros(1))
@@ -177,12 +160,9 @@ def _run_q2_bilevel_order1(case: ReproCase) -> CaseResult:
         stat = check_stationarity(prob, origin, alpha, spec)
         out.add(f"origin-descent-alpha-{alpha:g}", _close(stat, want, 1e-12),
                 f"stationarity={stat!r} want={want!r}")
-    _check_provenance(case, out)
-    return out
 
 
-def _run_q2_bilevel_sqrt(case: ReproCase) -> CaseResult:
-    out = CaseResult(case.id)
+def _run_q2_bilevel_sqrt(case: ReproCase, out: CaseResult) -> None:
     prob = _problem(case)
     spec = _sq_spec(0.5)
     quarter = KktPoint([0.0], [0.25], [0.25])
@@ -204,12 +184,9 @@ def _run_q2_bilevel_sqrt(case: ReproCase) -> CaseResult:
         all_feasible = all_feasible and rep.classification == CLASS_FEASIBLE
     out.add("multistart-objective", worst <= case.tolerance and all_feasible,
             f"worst |f|={worst!r} over {count} starts, all feasible: {all_feasible}")
-    _check_provenance(case, out)
-    return out
 
 
-def _run_q3_dirderiv(case: ReproCase) -> CaseResult:
-    out = CaseResult(case.id)
+def _run_q3_dirderiv(case: ReproCase, out: CaseResult) -> None:
     for name in ("tie_case", "left_branch", "symmetric_tie"):
         entry = case.expected[name]
         got = min_dirderiv(*entry["args"])
@@ -231,12 +208,9 @@ def _run_q3_dirderiv(case: ReproCase) -> CaseResult:
         if abs(secant - dd) > 1e-9 * (1.0 + abs(dd)):
             fails += 1
     out.add("secant-matches", fails == 0, f"failures={fails}/{npts}")
-    _check_provenance(case, out)
-    return out
 
 
-def _run_addq1_residual(case: ReproCase) -> CaseResult:
-    out = CaseResult(case.id)
+def _run_addq1_residual(case: ReproCase, out: CaseResult) -> None:
     prob = _problem(case)
     entry = case.expected["F_at_point"]
     F = prob.F(entry["x"], entry["y"])
@@ -250,12 +224,9 @@ def _run_addq1_residual(case: ReproCase) -> CaseResult:
     z = KktPoint(entry["x"], entry["y"], entry["lambda"])
     r = kkt_residual(prob, z, ResidualSpec("kkt", "l2", 0.5))
     out.add("feasible-residual", _close(r, entry["value"], case.tolerance), f"r={r!r}")
-    _check_provenance(case, out)
-    return out
 
 
-def _run_addq2_lcp(case: ReproCase) -> CaseResult:
-    out = CaseResult(case.id)
+def _run_addq2_lcp(case: ReproCase, out: CaseResult) -> None:
     prob = _problem(case)
     xs = case.doc["x_values"]
     path = parametric_solution_path(prob.M, prob.qmap, [[x] for x in xs])
@@ -290,12 +261,9 @@ def _run_addq2_lcp(case: ReproCase) -> CaseResult:
         phis.append(penalized_objective(prob, z, 4.0, spec))
     out.add("penalized-values", all(_close(a, b, 1e-12) for a, b in zip(phis, want_phi)),
             f"penalized={phis!r}")
-    _check_provenance(case, out)
-    return out
 
 
-def _run_addq3_sqrt_necessity(case: ReproCase) -> CaseResult:
-    out = CaseResult(case.id)
+def _run_addq3_sqrt_necessity(case: ReproCase, out: CaseResult) -> None:
     prob = _problem(case)
     spec1 = _sq_spec(1.0)
     want_vals = case.expected["order1_slice_values"]["value"]
@@ -315,12 +283,9 @@ def _run_addq3_sqrt_necessity(case: ReproCase) -> CaseResult:
             <= case.tolerance
             and rep.classification == case.expected["sqrt_classification"]["value"],
             f"f={rep.final_objective!r} class={rep.classification}")
-    _check_provenance(case, out)
-    return out
 
 
-def _run_q5_infeasible(case: ReproCase) -> CaseResult:
-    out = CaseResult(case.id)
+def _run_q5_infeasible(case: ReproCase, out: CaseResult) -> None:
     land = q5_toy_landscape()
     alpha = case.doc["fixed_alpha"]
     cfg = PenaltyConfig(alpha0=alpha, alpha_fixed=True, gamma=1.0)
@@ -343,12 +308,9 @@ def _run_q5_infeasible(case: ReproCase) -> CaseResult:
             rep2.classification == case.expected["feasible_classification"]["value"],
             f"class={rep2.classification}")
     out.add("feasible-location", abs(t2) <= tol2, f"t={t2!r}")
-    _check_provenance(case, out)
-    return out
 
 
-def _run_hoffman(case: ReproCase) -> CaseResult:
-    out = CaseResult(case.id)
+def _run_hoffman(case: ReproCase, out: CaseResult) -> None:
     doc = case.doc
     cloud = sample_cloud(None, doc["cloud_box"], doc["cloud_count"], doc["cloud_seed"])
     A, a = [[1.0, 0.0]], [0.0]
@@ -373,12 +335,9 @@ def _run_hoffman(case: ReproCase) -> CaseResult:
             violations += 1
     out.add("aposteriori-holds", violations == 0,
             f"violations={violations}/{used}")
-    _check_provenance(case, out)
-    return out
 
 
-def _run_quad_exponent(case: ReproCase) -> CaseResult:
-    out = CaseResult(case.id)
+def _run_quad_exponent(case: ReproCase, out: CaseResult) -> None:
     doc = case.doc
     count, seed = doc["cloud_count"], doc["cloud_seed"]
     cloud = sample_cloud(None, [[-1.0, 1.0], [-1.0, 1.0]], count, seed)
@@ -391,7 +350,7 @@ def _run_quad_exponent(case: ReproCase) -> CaseResult:
     want = case.expected["quad_gamma"]["value"]
     out.add("quad-gamma", _close(est.gamma_hat, want, case.tolerance),
             f"gamma={est.gamma_hat!r}")
-    lcp = LcpInstance([[2.0, 0.0], [0.0, 1.0]], [-1.0, 0.0])
+    lcp = LcpInstance(doc["lcp_M"], doc["lcp_q"])
     sols = solve_lcp_enumerate(lcp)
     cloud2 = sample_cloud(lcp, doc["lcp_box"], count, seed)
     samples = [(distance_to_solution_set(p, sols), min_residual(p, lcp.slack(p), "l2"))
@@ -400,8 +359,6 @@ def _run_quad_exponent(case: ReproCase) -> CaseResult:
     lo, hi = case.expected["lcp_gamma_bracket"]["value"]
     out.add("lcp-gamma-bracket", lo <= est.gamma_hat <= hi,
             f"gamma={est.gamma_hat!r} bracket=[{lo!r}, {hi!r}]")
-    _check_provenance(case, out)
-    return out
 
 
 _RUNNERS = {
@@ -416,11 +373,17 @@ _RUNNERS = {
     "hoffman": _run_hoffman,
     "quad-exponent": _run_quad_exponent,
 }
+#: the stable case ids, in the order ``reproduce all`` runs them
+CASE_IDS = tuple(_RUNNERS)
 
 
 def run_case(case_id: str) -> CaseResult:
+    """Run one case's checks, then the provenance check every case ends with."""
     case = load_case(case_id)
-    return _RUNNERS[case_id](case)
+    out = CaseResult(case.id)
+    _RUNNERS[case_id](case, out)
+    _check_provenance(case, out)
+    return out
 
 
 def run_cases(case_ids) -> list[CaseResult]:

@@ -21,6 +21,12 @@ along a ray, r(z + t d) = r0 + slope*t + curve*t^2 + o(t^2), with the
 convention that ``curve`` is only tracked (and only needed) when the ray
 starts on the zero set with zero slope; that is the case that decides
 whether a fractional-power penalty has a finite directional derivative.
+
+Each formula is written once, in ``_Kernel``: built once per (problem,
+spec), it works on the flat vector z = (x, y, lambda) and neither builds
+a KktPoint nor validates anything.  The solver's landscape is made of its
+bound methods; the public point functions at the end of this module are
+validated wrappers that check their input and make one call into it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtKink, DimensionMismatch
-from .model import KktPoint, MpecProblem, eval_F
+from .model import KktPoint, MpecProblem
 
 KIND_MIN = "min"
 KIND_PRODUCT = "product"
@@ -75,75 +81,26 @@ def _norm(v: np.ndarray, norm: str) -> float:
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def min_residual(y, w, norm: str = NORM_L2) -> float:
-    """Norm of the componentwise min(y, w); zero exactly at complementary
-    pairs with both parts nonnegative."""
+def _pair(y, w) -> tuple[np.ndarray, np.ndarray]:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if y.shape != w.shape:
         raise DimensionMismatch(f"y has shape {y.shape}, w has shape {w.shape}")
+    return y, w
+
+
+def min_residual(y, w, norm: str = NORM_L2) -> float:
+    """Norm of the componentwise min(y, w); zero exactly at complementary
+    pairs with both parts nonnegative."""
+    y, w = _pair(y, w)
     return _norm(np.minimum(y, w), norm)
 
 
 def product_residual(y, w) -> float:
     """The inner product y'w.  Nonnegative only when y >= 0 and w >= 0;
     the caller owns the sign convention."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if y.shape != w.shape:
-        raise DimensionMismatch(f"y has shape {y.shape}, w has shape {w.shape}")
+    y, w = _pair(y, w)
     return float(y @ w)
-
-
-def kkt_residual(problem: MpecProblem, z: KktPoint, spec: ResidualSpec | None = None) -> float:
-    """Stationarity norm plus primal/dual violation and complementarity sums.
-
-    Zero exactly when (x, y, lambda) is feasible for the one-level
-    reformulation.  The complementarity term is |lambda_i y_i|, which is
-    sign-safe for infeasible iterates with negative components.
-    """
-    spec = spec or ResidualSpec()
-    z.check_dims(problem)
-    s = eval_F(problem, z.x, z.y) - z.lam
-    stat = _norm(s, spec.norm)
-    primal = float(np.sum(np.maximum(-z.y, 0.0)))
-    dual = float(np.sum(np.maximum(-z.lam, 0.0)))
-    comp = float(np.sum(np.abs(z.lam * z.y)))
-    return stat + primal + dual + comp
-
-
-def kkt_residual_squared(problem: MpecProblem, z: KktPoint) -> float:
-    """Polynomial variant: ||F(x,y) - lambda||^2 + sum lambda_i y_i.
-
-    A valid residual on the search box (where y, lambda >= 0); it can go
-    negative at points with negative components, so penalty evaluation
-    clamps at zero.
-    """
-    z.check_dims(problem)
-    s = eval_F(problem, z.x, z.y) - z.lam
-    return float(s @ s + z.lam @ z.y)
-
-
-def residual_value(problem: MpecProblem, z: KktPoint, spec: ResidualSpec) -> float:
-    """Dispatch on spec.kind (and the stationarity variant for kkt)."""
-    if spec.kind == KIND_MIN:
-        w = eval_F(problem, z.x, z.y)
-        return min_residual(z.y, w, spec.norm)
-    if spec.kind == KIND_PRODUCT:
-        w = eval_F(problem, z.x, z.y)
-        return product_residual(z.y, w)
-    if spec.squared_stationarity:
-        return kkt_residual_squared(problem, z)
-    return kkt_residual(problem, z, spec)
-
-
-def penalized_objective(problem: MpecProblem, z: KktPoint, alpha: float,
-                        spec: ResidualSpec) -> float:
-    """f(x, y) + alpha * max(r(z), 0)^gamma with r selected by ``spec.kind``."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    r = max(residual_value(problem, z, spec), 0.0)
-    return problem.f_value(z.x, z.y) + alpha * r ** spec.gamma
 
 
 def min_dirderiv(u: float, v: float, du: float, dv: float) -> float:
@@ -181,91 +138,19 @@ def _pos_pieces(value: float, rate: float) -> tuple[float, float]:
     return 0.0, max(rate, 0.0)
 
 
-def residual_expansion(problem: MpecProblem, z: KktPoint, d: np.ndarray,
-                       spec: ResidualSpec) -> tuple[float, float, float]:
-    """One-sided growth (r0, slope, curve) of the residual along z + t d.
-
-    ``slope`` is the one-sided directional derivative of the residual.
-    ``curve`` is the quadratic growth coefficient, exact whenever r0 = 0
-    and slope = 0 (the only case the penalty calculus needs it).
-    """
-    z.check_dims(problem)
-    n, m = problem.n, problem.m
-    d = np.asarray(d, dtype=float)
-    if d.size != n + 2 * m:
-        raise DimensionMismatch(f"direction must have length {n + 2 * m}")
-    dx, dy, dl = d[:n], d[n:n + m], d[n + m:]
-
-    if spec.kind == KIND_MIN:
-        w = eval_F(problem, z.x, z.y)
-        dw = problem.M @ dy + problem.qmap.Q @ dx
-        vals = np.minimum(z.y, w)
-        rates = np.array([min_dirderiv(z.y[i], w[i], dy[i], dw[i]) for i in range(m)])
-        if spec.norm == NORM_L1:
-            r0 = slope = curve = 0.0
-            for i in range(m):
-                v, s, c = _abs_pieces(vals[i], rates[i])
-                r0, slope, curve = r0 + v, slope + s, curve + c
-            return r0, slope, curve
-        r0 = float(np.linalg.norm(vals))
-        if r0 > 0.0:
-            return r0, float(vals @ rates) / r0, 0.0
-        return 0.0, float(np.linalg.norm(rates)), 0.0
-
-    if spec.kind == KIND_PRODUCT:
-        w = eval_F(problem, z.x, z.y)
-        dw = problem.M @ dy + problem.qmap.Q @ dx
-        p0 = float(z.y @ w)
-        p1 = float(dy @ w + z.y @ dw)
-        p2 = float(dy @ dw)
-        # clamp at zero, matching the penalty evaluation
-        if p0 > 0.0:
-            return p0, p1, p2
-        if p0 < 0.0:
-            return 0.0, 0.0, 0.0
-        if p1 > 0.0:
-            return 0.0, p1, p2
-        if p1 < 0.0:
-            return 0.0, 0.0, 0.0
-        return 0.0, 0.0, max(p2, 0.0)
-
-    # kkt kinds
-    s0 = eval_F(problem, z.x, z.y) - z.lam
-    s1 = problem.M @ dy + problem.qmap.Q @ dx - dl
-
-    if spec.squared_stationarity:
-        r0 = float(s0 @ s0 + z.lam @ z.y)
-        slope = float(2.0 * s0 @ s1 + z.lam @ dy + z.y @ dl)
-        curve = float(s1 @ s1 + dl @ dy)
-        if r0 < 0.0:
-            # off-box point where the raw product went negative; the
-            # clamped residual is locally zero
-            return 0.0, 0.0, 0.0
+def _norm_pieces(value: np.ndarray, rate: np.ndarray,
+                 norm: str) -> tuple[float, float, float]:
+    # expansion of ||value + rate*t|| for t -> 0+ (affine argument)
+    if norm == NORM_L1:
+        r0 = slope = curve = 0.0
+        for i in range(value.size):
+            v, s, c = _abs_pieces(value[i], rate[i])
+            r0, slope, curve = r0 + v, slope + s, curve + c
         return r0, slope, curve
-
-    r0 = slope = curve = 0.0
-    if spec.norm == NORM_L1:
-        for i in range(m):
-            v, sl, cu = _abs_pieces(s0[i], s1[i])
-            r0, slope, curve = r0 + v, slope + sl, curve + cu
-    else:
-        stat0 = float(np.linalg.norm(s0))
-        if stat0 > 0.0:
-            r0 += stat0
-            slope += float(s0 @ s1) / stat0
-        else:
-            slope += float(np.linalg.norm(s1))
-    for i in range(m):
-        v, sl = _pos_pieces(-z.y[i], -dy[i])
-        r0, slope = r0 + v, slope + sl
-        v, sl = _pos_pieces(-z.lam[i], -dl[i])
-        r0, slope = r0 + v, slope + sl
-        p0 = z.lam[i] * z.y[i]
-        p1 = z.lam[i] * dy[i] + z.y[i] * dl[i]
-        p2 = dl[i] * dy[i]
-        v, sl, cu = _abs_pieces(p0, p1, p2)
-        r0, slope, curve = r0 + v, slope + sl, curve + cu
-    return r0, slope, curve
+    r0 = float(np.linalg.norm(value))
+    if r0 > 0.0:
+        return r0, float(value @ rate) / r0, 0.0
+    return 0.0, float(np.linalg.norm(rate)), 0.0
 
 
 def power_slope(r0: float, slope: float, curve: float, gamma: float,
@@ -291,40 +176,240 @@ def power_slope(r0: float, slope: float, curve: float, gamma: float,
     return math.inf if curve > 0.0 else 0.0
 
 
+def _penalized_slope(objective_slope, expansion, z: np.ndarray, d: np.ndarray,
+                     alpha: float, gamma: float) -> float:
+    """One-sided directional derivative of f + alpha * r^gamma along d,
+    from the slope of f and the growth expansion of r; +inf where the
+    power has a vertical tangent (the slope of f is then not needed)."""
+    pslope = power_slope(*expansion(z, d), gamma)
+    if math.isinf(pslope):
+        return math.inf
+    return objective_slope(z, d) + alpha * pslope
+
+
+# -- the flat kernel -----------------------------------------------------
+
+class _Kernel:
+    """One (problem, spec) pair built once for the solver loop.  Methods
+    take the flat z = (x, y, lambda), and a direction d laid out like it,
+    and trust their input."""
+
+    def __init__(self, problem: MpecProblem, spec: ResidualSpec | None = None):
+        self.n, self.m = problem.n, problem.m
+        self.M, self.Q, self.q0 = problem.M, problem.qmap.Q, problem.qmap.q0
+        self.f = problem.objective
+        self.spec = spec or ResidualSpec()
+
+    def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, m = self.n, self.m
+        return v[:n], v[n:n + m], v[n + m:]
+
+    def _F(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.M @ y + (self.Q @ x + self.q0)
+
+    def rate(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """Rate of change of F along (dx, dy)."""
+        return self.M @ dy + self.Q @ dx
+
+    @staticmethod
+    def _squared(s: np.ndarray, y: np.ndarray, lam: np.ndarray) -> float:
+        # squared kkt residual from its stationarity block s = F - lambda
+        return float(s @ s + lam @ y)
+
+    def objective(self, z: np.ndarray) -> float:
+        x, y, _ = self._split(z)
+        return self.f.value(x, y)
+
+    def objective_slope(self, z: np.ndarray, d: np.ndarray) -> float:
+        x, y, _ = self._split(z)
+        dx, dy, _ = self._split(d)
+        gx, gy = self.f.grad(x, y)
+        return float(gx @ dx + gy @ dy)
+
+    def squared_residual(self, z: np.ndarray) -> float:
+        x, y, lam = self._split(z)
+        return self._squared(self._F(x, y) - lam, y, lam)
+
+    def kkt_norm_residual(self, z: np.ndarray) -> float:
+        x, y, lam = self._split(z)
+        stat = _norm(self._F(x, y) - lam, self.spec.norm)
+        primal = float(np.sum(np.maximum(-y, 0.0)))
+        dual = float(np.sum(np.maximum(-lam, 0.0)))
+        comp = float(np.sum(np.abs(lam * y)))
+        return stat + primal + dual + comp
+
+    def residual(self, z: np.ndarray) -> float:
+        """The residual selected by spec.kind (and the kkt variant)."""
+        spec = self.spec
+        if spec.kind == KIND_KKT:
+            if spec.squared_stationarity:
+                return self.squared_residual(z)
+            return self.kkt_norm_residual(z)
+        x, y, _ = self._split(z)
+        w = self._F(x, y)
+        if spec.kind == KIND_MIN:
+            return _norm(np.minimum(y, w), spec.norm)
+        return float(y @ w)
+
+    def expansion(self, z: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
+        """One-sided growth (r0, slope, curve) of the residual along z + t d.
+
+        ``slope`` is the one-sided directional derivative of the residual.
+        ``curve`` is the quadratic growth coefficient, exact whenever r0 = 0
+        and slope = 0 (the only case the penalty calculus needs it).
+        """
+        spec, m = self.spec, self.m
+        x, y, lam = self._split(z)
+        dx, dy, dl = self._split(d)
+
+        if spec.kind == KIND_MIN:
+            w = self._F(x, y)
+            dw = self.rate(dx, dy)
+            vals = np.minimum(y, w)
+            rates = np.array([min_dirderiv(y[i], w[i], dy[i], dw[i]) for i in range(m)])
+            return _norm_pieces(vals, rates, spec.norm)
+
+        if spec.kind == KIND_PRODUCT:
+            w = self._F(x, y)
+            dw = self.rate(dx, dy)
+            p0 = float(y @ w)
+            p1 = float(dy @ w + y @ dw)
+            p2 = float(dy @ dw)
+            # clamp at zero, matching the penalty evaluation
+            if p0 > 0.0:
+                return p0, p1, p2
+            if p0 < 0.0:
+                return 0.0, 0.0, 0.0
+            if p1 > 0.0:
+                return 0.0, p1, p2
+            if p1 < 0.0:
+                return 0.0, 0.0, 0.0
+            return 0.0, 0.0, max(p2, 0.0)
+
+        # kkt kinds
+        s0 = self._F(x, y) - lam
+        s1 = self.rate(dx, dy) - dl
+
+        if spec.squared_stationarity:
+            r0 = self._squared(s0, y, lam)
+            slope = float(2.0 * s0 @ s1 + lam @ dy + y @ dl)
+            curve = float(s1 @ s1 + dl @ dy)
+            if r0 < 0.0:
+                # off-box point where the raw product went negative; the
+                # clamped residual is locally zero
+                return 0.0, 0.0, 0.0
+            return r0, slope, curve
+
+        # stationarity block; 0.0 + turns a -0.0 slope into +0.0, as the sums below do
+        v, sl, cu = _norm_pieces(s0, s1, spec.norm)
+        r0, slope, curve = 0.0 + v, 0.0 + sl, 0.0 + cu
+        for i in range(m):
+            v, sl = _pos_pieces(-y[i], -dy[i])
+            r0, slope = r0 + v, slope + sl
+            v, sl = _pos_pieces(-lam[i], -dl[i])
+            r0, slope = r0 + v, slope + sl
+            p0 = lam[i] * y[i]
+            p1 = lam[i] * dy[i] + y[i] * dl[i]
+            p2 = dl[i] * dy[i]
+            v, sl, cu = _abs_pieces(p0, p1, p2)
+            r0, slope, curve = r0 + v, slope + sl, curve + cu
+        return r0, slope, curve
+
+    def sqrt_grad(self, z: np.ndarray, alpha: float,
+                  kink_tolerance: float = KINK_TOLERANCE) -> np.ndarray:
+        """Gradient of f + alpha * sqrt(r) for the squared-stationarity
+        residual r(z) = ||F(x,y) - lambda||^2 + sum lambda_i y_i, at points
+        with r(z) above the kink tolerance.
+
+        grad = grad f + (alpha / (2 sqrt(r))) * grad r, with
+            d r/dx      = 2 Q'(F - lambda)
+            d r/dy      = 2 M'(F - lambda) + lambda
+            d r/dlambda = -2 (F - lambda) + y
+        """
+        x, y, lam = self._split(z)
+        s = self._F(x, y) - lam
+        r = self._squared(s, y, lam)
+        if r <= kink_tolerance:
+            raise AtKink(f"residual {r:.3e} is at or below the kink tolerance "
+                         f"{kink_tolerance:.1e}; use directional derivatives")
+        gx, gy = self.f.grad(x, y)
+        scale = alpha / (2.0 * math.sqrt(r))
+        grad_x = gx + scale * (2.0 * self.Q.T @ s)
+        grad_y = gy + scale * (2.0 * self.M.T @ s + lam)
+        grad_l = scale * (-2.0 * s + y)
+        return np.concatenate([grad_x, grad_y, grad_l])
+
+
+# -- validated public functions -------------------------------------------
+
+def _checked_direction(problem: MpecProblem, z: KktPoint, d) -> np.ndarray:
+    z.check_dims(problem)
+    d = np.asarray(d, dtype=float)
+    if d.size != problem.n + 2 * problem.m:
+        raise DimensionMismatch(f"direction must have length {problem.n + 2 * problem.m}")
+    return d
+
+
+def kkt_residual(problem: MpecProblem, z: KktPoint, spec: ResidualSpec | None = None) -> float:
+    """Stationarity norm plus primal/dual violation and complementarity sums.
+
+    Zero exactly when (x, y, lambda) is feasible for the one-level
+    reformulation.  The complementarity term is |lambda_i y_i|, which is
+    sign-safe for infeasible iterates with negative components.
+    """
+    z.check_dims(problem)
+    return _Kernel(problem, spec).kkt_norm_residual(z.to_z())
+
+
+def kkt_residual_squared(problem: MpecProblem, z: KktPoint) -> float:
+    """Polynomial variant: ||F(x,y) - lambda||^2 + sum lambda_i y_i.
+
+    A valid residual on the search box (where y, lambda >= 0); it can go
+    negative at points with negative components, so penalty evaluation
+    clamps at zero.
+    """
+    z.check_dims(problem)
+    return _Kernel(problem).squared_residual(z.to_z())
+
+
+def residual_value(problem: MpecProblem, z: KktPoint, spec: ResidualSpec) -> float:
+    """Dispatch on spec.kind (and the stationarity variant for kkt)."""
+    z.check_dims(problem)
+    return _Kernel(problem, spec).residual(z.to_z())
+
+
+def penalized_objective(problem: MpecProblem, z: KktPoint, alpha: float,
+                        spec: ResidualSpec) -> float:
+    """f(x, y) + alpha * max(r(z), 0)^gamma with r selected by ``spec.kind``."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    z.check_dims(problem)
+    kernel, zf = _Kernel(problem, spec), z.to_z()
+    r = max(kernel.residual(zf), 0.0)
+    return kernel.objective(zf) + alpha * r ** spec.gamma
+
+
+def residual_expansion(problem: MpecProblem, z: KktPoint, d: np.ndarray,
+                       spec: ResidualSpec) -> tuple[float, float, float]:
+    """One-sided growth (r0, slope, curve) of the residual along z + t d;
+    see ``_Kernel.expansion``."""
+    d = _checked_direction(problem, z, d)
+    return _Kernel(problem, spec).expansion(z.to_z(), d)
+
+
 def penalized_dirderiv(problem: MpecProblem, z: KktPoint, d: np.ndarray,
                        alpha: float, spec: ResidualSpec) -> float:
     """One-sided directional derivative of f + alpha * r^gamma along d."""
-    gx, gy = problem.f_grad(z.x, z.y)
-    n, m = problem.n, problem.m
-    d = np.asarray(d, dtype=float)
-    fdot = float(gx @ d[:n] + gy @ d[n:n + m])
-    r0, slope, curve = residual_expansion(problem, z, d, spec)
-    pslope = power_slope(r0, slope, curve, spec.gamma)
-    if math.isinf(pslope):
-        return math.inf
-    return fdot + alpha * pslope
+    d = _checked_direction(problem, z, d)
+    kernel = _Kernel(problem, spec)
+    return _penalized_slope(kernel.objective_slope, kernel.expansion, z.to_z(), d,
+                            alpha, spec.gamma)
 
 
 def grad_penalized_sqrt(problem: MpecProblem, z: KktPoint, alpha: float,
                         kink_tolerance: float = KINK_TOLERANCE) -> np.ndarray:
-    """Gradient of f + alpha * sqrt(r) for the squared-stationarity
-    residual r(z) = ||F(x,y) - lambda||^2 + sum lambda_i y_i, at points
-    with r(z) above the kink tolerance.
-
-    grad = grad f + (alpha / (2 sqrt(r))) * grad r, with
-        d r/dx      = 2 Q'(F - lambda)
-        d r/dy      = 2 M'(F - lambda) + lambda
-        d r/dlambda = -2 (F - lambda) + y
-    """
+    """Gradient of f + alpha * sqrt(r) for the squared-stationarity kkt
+    residual; see ``_Kernel.sqrt_grad``.  Raises AtKink at or below the
+    kink tolerance."""
     z.check_dims(problem)
-    r = kkt_residual_squared(problem, z)
-    if r <= kink_tolerance:
-        raise AtKink(f"residual {r:.3e} is at or below the kink tolerance "
-                     f"{kink_tolerance:.1e}; use directional derivatives")
-    s = eval_F(problem, z.x, z.y) - z.lam
-    gx, gy = problem.f_grad(z.x, z.y)
-    scale = alpha / (2.0 * math.sqrt(r))
-    grad_x = gx + scale * (2.0 * problem.qmap.Q.T @ s)
-    grad_y = gy + scale * (2.0 * problem.M.T @ s + z.lam)
-    grad_l = scale * (-2.0 * s + z.y)
-    return np.concatenate([grad_x, grad_y, grad_l])
+    return _Kernel(problem).sqrt_grad(z.to_z(), alpha, kink_tolerance)

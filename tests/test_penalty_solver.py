@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpecpen import model
 from mpecpen import (
     AffineParamMap,
     KktPoint,
@@ -15,9 +16,7 @@ from mpecpen.penalty_solver import (
     CLASS_INFEASIBLE,
     CLASS_LIMIT,
     PenaltyConfig,
-    SolveReport,
     check_stationarity,
-    classify_result,
     default_start,
     inner_minimize,
     landscape_from_problem,
@@ -147,7 +146,7 @@ class TestContinuation:
         assert rep.classification == CLASS_LIMIT
 
     def test_determinism(self, lcp_param):
-        cfg = PenaltyConfig(gamma=0.5, seed=4)
+        cfg = PenaltyConfig(gamma=0.5)
         a = penalty_continuation(lcp_param, cfg).to_dict()
         b = penalty_continuation(lcp_param, cfg).to_dict()
         assert a == b
@@ -169,23 +168,24 @@ class TestContinuation:
                 assert rep.classification == CLASS_FEASIBLE
                 assert abs(rep.final_objective) <= 1e-3
 
+    def test_validation_only_at_boundary(self, lcp_param, monkeypatch):
+        # input is validated when the solve starts and when the final
+        # point is reported, never per evaluation, so the number of
+        # vector checks does not grow with the evaluation budget
+        checked = model._as_vector
+        counts = []
+        for budget in (200, 2000):
+            calls = [0]
 
-class TestClassify:
-    def mk(self, residual, stat):
-        return SolveReport(final_point=ORIGIN, alpha_history=[1.0],
-                           residual_history=[residual], objective_history=[0.0],
-                           penalized_history=[0.0], classification="",
-                           stationarity_measure=stat, gamma=0.5,
-                           residual_kind="kkt", stationarity_variant="squared")
+            def counting(*args, **kwargs):
+                calls[0] += 1
+                return checked(*args, **kwargs)
 
-    def test_feasible(self):
-        assert classify_result(self.mk(1e-12, 1.0), 1e-8) == CLASS_FEASIBLE
-
-    def test_infeasible_stationary(self):
-        assert classify_result(self.mk(0.5, 0.0), 1e-8) == CLASS_INFEASIBLE
-
-    def test_iteration_limit(self):
-        assert classify_result(self.mk(0.5, 0.3), 1e-8) == CLASS_LIMIT
+            monkeypatch.setattr(model, "_as_vector", counting)
+            penalty_continuation(lcp_param, PenaltyConfig(max_inner=budget))
+            monkeypatch.undo()
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
 
 
 class TestDefaultStart:
