@@ -151,6 +151,9 @@ def _cmd_oracle(args) -> int:
     else:
         for p in sols.points:
             print(json.dumps(p.tolist()))
+    if args.stats:
+        print(json.dumps({"bases_explored": sols.bases_explored,
+                          "singular_bases": sols.singular_bases}), file=sys.stderr)
     return 0
 
 
@@ -270,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="enumerate all LCP solutions")
     p.add_argument("--M", required=True, help="matrix, rows separated by ';'")
     p.add_argument("--q", required=True, help="vector")
+    p.add_argument("--stats", action="store_true",
+                   help="also write the basis counts to stderr as one JSON line")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("residual", help="evaluate one residual at a point")

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import EmptyPolyhedron, TooFewSamples
-from .lcp_oracle import SolutionSet, distance_to_solution_set, solve_lcp_enumerate
+from .lcp_oracle import SolutionSet, _index_sets, distance_to_solution_set, solve_lcp_enumerate
 from .model import LcpInstance
 from .residuals import min_residual
 
@@ -185,10 +184,10 @@ def project_polyhedron(A, a, B, b, x) -> tuple[np.ndarray, float]:
     p = A.shape[0]
     best_z = None
     best_d = math.inf
-    for size in range(p + 1):
-        for J in combinations(range(p), size):
-            rows = np.vstack([A[list(J)], B]) if (J or B.shape[0]) else np.zeros((0, dim))
-            rhs = np.concatenate([a[list(J)], b])
+    for chunk in _index_sets(p):
+        for J in chunk:
+            rows = np.vstack([A[J], B]) if (J.size or B.shape[0]) else np.zeros((0, dim))
+            rhs = np.concatenate([a[J], b])
             k = rows.shape[0]
             kkt = np.zeros((dim + k, dim + k))
             kkt[:dim, :dim] = np.eye(dim)

@@ -5,12 +5,21 @@ M_II y_I = -q_I with the remaining components pinned at zero, and keeps
 every candidate passing the feasibility and complementarity checks.
 Exhaustive and exact at small m, which is the whole point: these answers
 calibrate the penalty machinery.
+
+The index sets are enumerated by size, each size in
+``itertools.combinations`` order and in chunks whose work arrays stay
+within a fixed memory budget; each chunk takes one batched
+``np.linalg.solve`` (or ``det`` for the P-matrix test).  Batching changes
+no bits: each basis gets the same LAPACK call and the same residual
+product it would get alone, and the vectorised feasibility screen only
+preselects, with a rounding margin, the candidates that the per-basis
+checks then confirm in enumeration order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -20,6 +29,11 @@ from .model import AffineParamMap, LcpInstance, _as_vector
 FEAS_TOL = 1e-10
 DEDUP_TOL = 1e-9
 MAX_ORDER = 20
+
+#: Memory budget of one enumeration chunk: a chunk of n index sets of
+#: size k out of range(m) is sized for n * k * m float64 entries, which
+#: bounds both its stacked k x k submatrices and its n x m work arrays.
+_CHUNK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -32,9 +46,73 @@ class SolutionSet:
     singular_bases: int = 0
 
 
+def _index_sets(m: int, first: int = 0):
+    """The subsets of range(m) with at least ``first`` elements, by size
+    and within a size in ``itertools.combinations`` order, as (n, size)
+    intp arrays; a size-k chunk has at most _CHUNK_BYTES // (8 k m) rows."""
+    for size in range(first, m + 1):
+        if size == 0:
+            yield np.zeros((1, 0), dtype=np.intp)
+            continue
+        per_chunk = max(1, _CHUNK_BYTES // (8 * size * m))
+        sets = combinations(range(m), size)
+        while (flat := np.fromiter(chain.from_iterable(islice(sets, per_chunk)),
+                                   dtype=np.intp)).size:
+            yield flat.reshape(-1, size)
+
+
+def _principal_submatrices(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return M[idx[:, :, None], idx[:, None, :]]
+
+
 def _passes_checks(y: np.ndarray, w: np.ndarray) -> bool:
     return (np.all(y >= -FEAS_TOL) and np.all(w >= -FEAS_TOL)
             and abs(float(y @ w)) <= FEAS_TOL)
+
+
+def _solve_stack(subs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Row j solves subs[j] y = rhs[j]; rows of exactly singular
+    submatrices are NaN.  A stack holding one is split in halves until the
+    singular submatrices stand alone, so every other row still comes from
+    the same LAPACK call it would get by itself."""
+    try:
+        return np.linalg.solve(subs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(subs) == 1:
+            return np.full(rhs.shape, np.nan)
+        half = len(subs) // 2
+        return np.concatenate([_solve_stack(subs[:half], rhs[:half]),
+                               _solve_stack(subs[half:], rhs[half:])])
+
+
+def _screen_chunk(M: np.ndarray, q: np.ndarray, idx: np.ndarray):
+    """Solve the bases of one chunk and screen them.
+
+    Returns the basic solutions y_I (n x k), a mask of the bases that
+    count as singular, and a mask of the candidates that may pass
+    ``_passes_checks``.  A basis is singular when its solve fails, is not
+    finite or leaves a residual max |M_II y_I + q_I| above
+    1e-8 max(1, max |q_I|); the stacked product M_II @ y_I makes the same
+    matrix-vector call per basis as an unstacked one.  The candidate mask
+    is a superset: w = M y + q comes from one matrix product for the whole
+    chunk, and ``slack`` bounds how far its rounding can stray from the
+    per-basis product that ``_passes_checks`` is given.
+    """
+    n, m = len(idx), q.size
+    subs = _principal_submatrices(M, idx)
+    q_i = q[idx]
+    y_i = _solve_stack(subs, -q_i)
+    Y = np.zeros((n, m))
+    Y[np.arange(n)[:, None], idx] = y_i
+    with np.errstate(all="ignore"):
+        residual = np.max(np.abs((subs @ y_i[..., None])[..., 0] + q_i), axis=1, initial=0.0)
+        w = Y @ M.T + q
+        slack = 4 * (m + 1) * np.finfo(float).eps * (np.abs(Y) @ np.abs(M).T + np.abs(q))
+        singular = (~np.all(np.isfinite(y_i), axis=1)
+                    | (residual > 1e-8 * np.max(np.abs(q_i), axis=1, initial=1.0)))
+        maybe = (~singular & np.all(y_i >= -FEAS_TOL, axis=1)
+                 & np.all(w + slack >= -FEAS_TOL, axis=1))
+    return y_i, singular, maybe
 
 
 def solve_lcp_enumerate(lcp: LcpInstance) -> SolutionSet:
@@ -47,25 +125,14 @@ def solve_lcp_enumerate(lcp: LcpInstance) -> SolutionSet:
     found: list[np.ndarray] = []
     singular = 0
     explored = 0
-    for size in range(m + 1):
-        for idx in combinations(range(m), size):
-            explored += 1
+    for idx in _index_sets(m):
+        explored += len(idx)
+        y_i, bad, maybe = _screen_chunk(M, q, idx)
+        singular += int(np.count_nonzero(bad))
+        for j in np.flatnonzero(maybe):
             y = np.zeros(m)
-            if idx:
-                ii = np.array(idx)
-                sub = M[np.ix_(ii, ii)]
-                try:
-                    y_i = np.linalg.solve(sub, -q[ii])
-                except np.linalg.LinAlgError:
-                    singular += 1
-                    continue
-                if not np.all(np.isfinite(y_i)) or \
-                        np.max(np.abs(sub @ y_i + q[ii])) > 1e-8 * max(1.0, np.max(np.abs(q[ii]))):
-                    singular += 1
-                    continue
-                y[ii] = y_i
-            w = M @ y + q
-            if _passes_checks(y, w):
+            y[idx[j]] = y_i[j]
+            if _passes_checks(y, M @ y + q):
                 if all(np.linalg.norm(y - p) > DEDUP_TOL for p in found):
                     found.append(y)
     found.sort(key=lambda p: tuple(p))
@@ -98,11 +165,9 @@ def is_P_matrix(M) -> bool:
     m = M.shape[0]
     if m > MAX_ORDER:
         raise TooLarge(f"principal-minor test limited to order {MAX_ORDER}, got {m}")
-    for size in range(1, m + 1):
-        for idx in combinations(range(m), size):
-            ii = np.array(idx)
-            if np.linalg.det(M[np.ix_(ii, ii)]) <= 0.0:
-                return False
+    for idx in _index_sets(m, first=1):
+        if np.any(np.linalg.det(_principal_submatrices(M, idx)) <= 0.0):
+            return False
     return True
 
 

@@ -272,7 +272,7 @@ def eval_F(problem: MpecProblem, x, y) -> np.ndarray:
     """The lower-level map F(x, y) = M y + q(x)."""
     x = _as_vector(x, "x", size=problem.n)
     y = _as_vector(y, "y", size=problem.m)
-    return problem.M @ y + problem.qmap(x)
+    return problem.M @ y + (problem.qmap.Q @ x + problem.qmap.q0)
 
 
 # -- file format ---------------------------------------------------------

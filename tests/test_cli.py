@@ -1,9 +1,12 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from mpecpen import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,6 +78,12 @@ class TestOracle:
     def test_malformed_exit_one(self):
         res = run_cli("oracle", "--M", "1 2; 3", "--q", "0")
         assert res.returncode == 1
+
+    def test_stats_on_stderr(self):
+        res = run_cli("oracle", "--M", "0", "--q", "1", "--stats")
+        assert res.returncode == 0
+        assert res.stdout.splitlines() == ["[0.0]"]
+        assert json.loads(res.stderr) == {"bases_explored": 2, "singular_bases": 1}
 
 
 class TestResidualCommand:
@@ -164,3 +173,13 @@ class TestFlagValidation:
         res = run_cli("solve", "fixtures/lcp-param.mpec", "--gamma", "1.5")
         assert res.returncode == 1
         assert "gamma" in res.stderr
+
+
+def test_reproduce_all_stdout_is_byte_identical(monkeypatch, capsys):
+    # the digest of the golden suite's stdout, recorded with the benchmark;
+    # speedups must leave every byte of it unchanged
+    monkeypatch.delenv("MPECPEN_FIXTURES", raising=False)
+    digest = (ROOT / "bench" / "reproduce_all.sha256").read_text().split()[0]
+    assert cli.main(["reproduce", "all"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
