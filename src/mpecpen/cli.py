@@ -4,6 +4,8 @@ Subcommands: solve, oracle, probe, reproduce, residual.  Everything on
 stdout is machine-parseable (TSV rows and/or a JSON document); prose and
 errors go to stderr.  Exit codes for solve: 0 feasible minimizer,
 2 infeasible penalty-stationary point, 3 iteration limit, 1 bad input.
+Bad input to any command is reported once, by ``main``: one ``error:``
+line on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -11,31 +13,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .errors import MpecError
-from .errorbound import (
-    fit_exponent,
-    hoffman_baseline,
-    polyhedron_residual,
-    project_polyhedron,
-    ray_divergence_test,
-    sample_cloud,
+from .errors import MpecError, SchemaError, UnknownCase
+from .lcp_oracle import solve_lcp_enumerate
+from .model import (
+    KktPoint,
+    LcpInstance,
+    MpecProblem,
+    parse_problem_file,
+    problem_from_dict,
+    read_problem_doc,
+    warm_point,
 )
-from .lcp_oracle import distance_to_solution_set, solve_lcp_enumerate
-from .model import KktPoint, LcpInstance, eval_F, parse_problem_file
 from .penalty_solver import (
     CLASS_FEASIBLE,
     CLASS_INFEASIBLE,
     CLASS_LIMIT,
+    Landscape,
     PenaltyConfig,
-    penalty_continuation,
+    landscape_from_problem,
     q5_toy_landscape,
     run_continuation,
 )
-from .residuals import ResidualSpec, min_residual, residual_value
+from .residuals import ResidualSpec, residual_value
 from . import reproduce as repro
 
 _EXIT_BY_CLASS = {CLASS_FEASIBLE: 0, CLASS_INFEASIBLE: 2, CLASS_LIMIT: 3}
@@ -80,72 +82,53 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="freeze the penalty weight at this value")
 
 
-def _config_from_args(args) -> PenaltyConfig:
-    spec = ResidualSpec(kind=args.residual, norm=args.norm, gamma=args.gamma,
+def _spec_from_args(args) -> ResidualSpec:
+    return ResidualSpec(kind=args.residual, norm=args.norm, gamma=args.gamma,
                         squared_stationarity=(args.variant == "squared"))
-    alpha0 = args.alpha0
+
+
+def _config_from_args(args) -> PenaltyConfig:
     fixed = args.alpha_fixed is not None
-    if fixed:
-        alpha0 = args.alpha_fixed
-    return PenaltyConfig(alpha0=alpha0, growth=args.growth, eps_feas=args.eps_feas,
+    return PenaltyConfig(alpha0=args.alpha_fixed if fixed else args.alpha0,
+                         growth=args.growth, eps_feas=args.eps_feas,
                          eps_stat=args.eps_stat, max_outer=args.max_outer,
-                         max_inner=args.max_inner, gamma=args.gamma, residual=spec,
-                         alpha_fixed=fixed)
+                         max_inner=args.max_inner, gamma=args.gamma,
+                         residual=_spec_from_args(args), alpha_fixed=fixed)
 
 
-def _start_point(problem, args) -> KktPoint | None:
-    if args.start is None:
-        return None
-    vec = _parse_vector(args.start)
-    n, m = problem.n, problem.m
-    if vec.size == n + 2 * m:
-        return problem.split(vec)
-    if vec.size == n + m:
-        x, y = vec[:n], vec[n:]
-    elif vec.size == n:
-        x, y = vec, np.zeros(m)
-    else:
-        raise MpecError(f"--start must have length {n}, {n + m} or {n + 2 * m}")
-    lam = np.clip(eval_F(problem, x, y), 0.0, problem.multiplier_bound)
-    return KktPoint(x, y, lam)
+def _start(text: str | None, land: Landscape, problem: MpecProblem | None) -> np.ndarray:
+    """The solve's start z from --start given as x, (x, y) or (x, y, lambda):
+    a missing y is zero and a missing lambda is warm-started.  Without
+    --start, x is the box midpoint.  The toy (no problem) has no y or lambda."""
+    n, m = (problem.n, problem.m) if problem is not None else (land.dim, 0)
+    vec = 0.5 * (land.lower[:n] + land.upper[:n]) if text is None else _parse_vector(text)
+    lengths = sorted({n, n + m, n + 2 * m})
+    if vec.size not in lengths:
+        raise MpecError(f"--start has length {vec.size}, expected one of {lengths}")
+    if problem is None or vec.size == n + 2 * m:
+        return vec
+    return warm_point(problem, vec[:n], vec[n:] if vec.size > n else np.zeros(m)).to_z()
 
 
 def _cmd_solve(args) -> int:
-    try:
-        doc = json.loads(Path(args.problem).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read problem file: {exc}")
+    doc = read_problem_doc(args.problem)
     if args.gamma is None:
-        file_gamma = doc.get("gamma") if isinstance(doc, dict) else None
-        args.gamma = float(file_gamma) if file_gamma is not None else 0.5
-    try:
-        config = _config_from_args(args)
-        if isinstance(doc, dict) and "toy" in doc:
-            land = q5_toy_landscape()
-            start = land.lower + 0.5 * (land.upper - land.lower)
-            if args.start is not None:
-                start = _parse_vector(args.start)
-            report = run_continuation(land, config, start)
-        else:
-            problem = parse_problem_file(args.problem)
-            report = penalty_continuation(problem, config, _start_point(problem, args))
-    except (MpecError, ValueError) as exc:
-        return _fail(str(exc))
+        gamma = doc.get("gamma")
+        if gamma is not None and not isinstance(gamma, (int, float)):
+            raise SchemaError(f"{args.problem}: gamma must be a number, got {gamma!r}")
+        args.gamma = 0.5 if gamma is None else float(gamma)
+    config = _config_from_args(args)
+    # the q5 toy is a landscape without a lower level; any other file is an MPEC
+    problem = None if doc.get("toy") == "q5-infeasible" else problem_from_dict(doc)
+    land = (q5_toy_landscape() if problem is None
+            else landscape_from_problem(problem, config.effective_spec()))
+    report = run_continuation(land, config, _start(args.start, land, problem))
     _emit(report.to_dict())
     return _EXIT_BY_CLASS[report.classification]
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        M = _parse_matrix(args.M)
-        q = _parse_vector(args.q)
-        lcp = LcpInstance(M, q)
-    except (ValueError, MpecError) as exc:
-        return _fail(f"bad matrix input: {exc}")
-    try:
-        sols = solve_lcp_enumerate(lcp)
-    except MpecError as exc:
-        return _fail(str(exc))
+    sols = solve_lcp_enumerate(LcpInstance(_parse_matrix(args.M), _parse_vector(args.q)))
     if sols.empty_flag:
         print("[]")
     else:
@@ -158,96 +141,43 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    try:
-        problem = parse_problem_file(args.problem)
-        x = _parse_vector(args.x)
-        y = _parse_vector(args.y)
-        lam = (_parse_vector(args.lam) if args.lam is not None
-               else np.clip(eval_F(problem, x, y), 0.0, problem.multiplier_bound))
-        spec = ResidualSpec(args.residual, args.norm, args.gamma,
-                            squared_stationarity=(args.variant == "squared"))
-        value = residual_value(problem, KktPoint(x, y, lam), spec)
-    except (MpecError, ValueError) as exc:
-        return _fail(str(exc))
+    problem = parse_problem_file(args.problem)
+    x = _parse_vector(args.x)
+    y = _parse_vector(args.y)
+    z = (warm_point(problem, x, y) if args.lam is None
+         else KktPoint(x, y, _parse_vector(args.lam)))
+    value = residual_value(problem, z, _spec_from_args(args))
     _emit({"kind": args.residual, "norm": args.norm, "value": value})
     return 0
 
 
-def _probe_fixture(args) -> int:
-    count, seed = args.count, args.seed
-    rows: list[tuple[str, float, float]] = []
-    summary: dict = {"fixture": args.fixture}
-    samples = None  # (distance, residual) pairs of the exponent-fit fixtures
-    if args.fixture == "linear-halfspace":
-        cloud = sample_cloud(None, [[-1.0, 1.0], [-1.0, 1.0]], count, seed)
-        samples = [(max(p[0], 0.0), max(p[0], 0.0)) for p in cloud]
-    elif args.fixture == "quad-scalar":
-        cloud = sample_cloud(None, [[-1.0, 1.0]], count, seed)
-        samples = [(abs(p[0]), p[0] ** 2) for p in cloud]
-    elif args.fixture == "lcp-q2":
-        doc = repro.load_case("quad-exponent").doc
-        lcp = LcpInstance(doc["lcp_M"], doc["lcp_q"])
-        sols = solve_lcp_enumerate(lcp)
-        cloud = sample_cloud(lcp, doc["lcp_box"], count, seed)
-        samples = [(distance_to_solution_set(p, sols),
-                    min_residual(p, lcp.slack(p), "l2")) for p in cloud]
-    elif args.fixture in ("hoffman-halfspace", "hoffman-corner"):
-        cloud = sample_cloud(None, [[-1.0, 1.0], [-1.0, 1.0]], count, seed)
-        A, a = [[1.0, 0.0]], [0.0]
-        B, b = ([[0.0, 1.0]], [0.0]) if args.fixture == "hoffman-corner" else ([], [])
-        est = hoffman_baseline(A, a, B, b, cloud)
-        for i, p in enumerate(cloud):
-            r = polyhedron_residual(A, a, B, b, p)
-            _, d = project_polyhedron(A, a, B, b, p)
-            rows.append((str(i), r, d))
-    else:
-        return _fail(f"unknown fixture {args.fixture!r}")
-    if samples is not None:
-        est = fit_exponent(samples)
-        rows = [(str(i), r, d) for i, (d, r) in enumerate(samples)]
-    print("id\tresidual\tdistance")
-    for sid, r, d in rows:
-        print(f"{sid}\t{r!r}\t{d!r}")
-    summary.update(est.to_dict())
-    summary["flags"] = ["DEGENERATE"] if est.degenerate else []
-    _emit(summary)
-    return 0
-
-
-def _probe_ray(args) -> int:
-    if args.ray != "q1":
-        return _fail(f"unknown ray fixture {args.ray!r}")
-    doc = repro.load_case("q1-ray").doc
-    lcp = LcpInstance(doc["M"], doc["q"])
-    ray = (lcp, doc["base"], doc["direction"], doc["t_values"])
-    rep_typo = ray_divergence_test(*ray)
-    rep = ray_divergence_test(*ray, solutions=doc["nominal_solutions"])
-    print("t\tresidual\tdistance")
-    for s in rep.rows:
-        print(f"{s.t!r}\t{s.residual!r}\t{s.distance!r}")
-    flags = ["GLOBAL-BOUND-REFUTED"] if rep.refuted else []
-    _emit({"ray": args.ray, "flags": flags, "note": rep.note,
-           "enumerated_set_note": rep_typo.note})
-    return 0
-
-
 def _cmd_probe(args) -> int:
-    if args.ray is None and args.fixture is None:
-        return _fail("probe needs --fixture or --ray")
-    try:
-        return _probe_ray(args) if args.ray is not None else _probe_fixture(args)
-    except (MpecError, OSError) as exc:
-        return _fail(str(exc))
+    if args.ray is not None:
+        if args.ray != "q1":
+            raise UnknownCase(f"unknown ray fixture {args.ray!r}")
+        rep_enumerated, rep = repro.q1_ray_reports(repro.load_case("q1-ray").doc)
+        print("t\tresidual\tdistance")
+        for s in rep.rows:
+            print(f"{s.t!r}\t{s.residual!r}\t{s.distance!r}")
+        flags = ["GLOBAL-BOUND-REFUTED"] if rep.refuted else []
+        _emit({"ray": args.ray, "flags": flags, "note": rep.note,
+               "enumerated_set_note": rep_enumerated.note})
+        return 0
+    if args.fixture is None:
+        raise MpecError("probe needs --fixture or --ray")
+    rows, est = repro.probe_fixture(args.fixture, args.count, args.seed)
+    print("id\tresidual\tdistance")
+    for i, (r, d) in enumerate(rows):
+        print(f"{i}\t{r!r}\t{d!r}")
+    _emit({"fixture": args.fixture, **est.to_dict(),
+           "flags": ["DEGENERATE"] if est.degenerate else []})
+    return 0
 
 
 def _cmd_reproduce(args) -> int:
     ids = repro.CASE_IDS if args.case == "all" else (args.case,)
-    try:
-        results = repro.run_cases(ids)
-    except MpecError as exc:
-        return _fail(str(exc))
     summary = {"cases": {}, "passed": 0, "failed": 0}
-    for res in results:
+    for res in repro.run_cases(ids):
         for chk in res.checks:
             status = "PASS" if chk.passed else "FAIL"
             print(f"{res.case_id}\t{chk.name}\t{status}\t{chk.detail}")
@@ -263,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpecpen",
         description="Fractional-power exact penalties for LCP-constrained MPECs")
+    parser.set_defaults(error_prefix="")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run penalty continuation on a problem file")
@@ -275,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True, help="vector")
     p.add_argument("--stats", action="store_true",
                    help="also write the basis counts to stderr as one JSON line")
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle, error_prefix="bad matrix input: ")
 
     p = sub.add_parser("residual", help="evaluate one residual at a point")
     p.add_argument("problem", type=str)
@@ -290,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="error-bound probes: exponent fits, rays, baselines")
     p.add_argument("--fixture", type=str, default=None,
-                   choices=("linear-halfspace", "quad-scalar", "lcp-q2",
-                            "hoffman-halfspace", "hoffman-corner"))
+                   choices=(*repro.SAMPLERS, *repro.HOFFMAN_SYSTEMS))
     p.add_argument("--ray", type=str, default=None)
     p.add_argument("--count", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
@@ -306,7 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MpecError, ValueError, OSError) as exc:
+        return _fail(f"{args.error_prefix}{exc}")
 
 
 if __name__ == "__main__":

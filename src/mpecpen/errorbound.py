@@ -64,13 +64,13 @@ def sample_cloud(lcp: LcpInstance | None, box, count: int, seed: int = 0) -> lis
     return [box[:, 0] + rng.random(box.shape[0]) * width for _ in range(count)]
 
 
-def fit_exponent(samples, r_floor: float = R_FLOOR) -> ErrorBoundEstimate:
+def fit_exponent(samples) -> ErrorBoundEstimate:
     """Least-squares fit of log dist = log tau + gamma * log r.
 
-    Samples are (dist, r) pairs; pairs with dist <= 0 or r <= r_floor are
+    Samples are (dist, r) pairs; pairs with dist <= 0 or r <= R_FLOOR are
     dropped.  At least 10 usable pairs are required.
     """
-    used = [(float(d), float(r)) for d, r in samples if d > 0.0 and r > r_floor]
+    used = [(float(d), float(r)) for d, r in samples if d > 0.0 and r > R_FLOOR]
     if len(used) < 10:
         raise TooFewSamples(f"need at least 10 usable samples, got {len(used)}")
     dists = np.array([d for d, _ in used])

@@ -189,10 +189,9 @@ class KktPoint:
 
 @dataclass(frozen=True)
 class MpecProblem:
-    """An MPEC over a compact box with a parametric-LCP lower level."""
+    """An MPEC over a compact box with a parametric-LCP lower level.
+    The dimensions n (of x) and m (of y) are those of q(x) and M."""
 
-    n: int
-    m: int
     objective: QuadObjective
     x_box: np.ndarray
     M: np.ndarray
@@ -200,16 +199,16 @@ class MpecProblem:
     multiplier_bound: float
 
     def __post_init__(self):
-        n, m = int(self.n), int(self.m)
+        M = _as_matrix(self.M, "M")
+        if M.shape[0] != M.shape[1]:
+            raise DimensionMismatch(f"M must be square, got shape {M.shape}")
+        object.__setattr__(self, "M", M)
+        n, m = self.n, self.m
         if n < 1 or m < 1:
             raise DimensionMismatch("both dimensions must be at least 1")
-        M = _as_matrix(self.M, "M", rows=m, cols=m)
         if self.qmap.out_dim != m:
             raise DimensionMismatch(
                 f"q(x) has {self.qmap.out_dim} rows but M has order {m}")
-        if self.qmap.in_dim != n:
-            raise DimensionMismatch(
-                f"q(x) takes inputs of length {self.qmap.in_dim}, expected {n}")
         if self.objective.x_lin.size != n or self.objective.y_lin.size != m:
             raise DimensionMismatch("objective dimensions do not match (n, m)")
         box = np.asarray(self.x_box, dtype=float)
@@ -222,11 +221,16 @@ class MpecProblem:
         c = float(self.multiplier_bound)
         if not (c > 0.0) or not np.isfinite(c):
             raise ValueError("multiplier_bound must be a positive finite scalar")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "M", M)
         object.__setattr__(self, "x_box", box)
         object.__setattr__(self, "multiplier_bound", c)
+
+    @property
+    def n(self) -> int:
+        return self.qmap.in_dim
+
+    @property
+    def m(self) -> int:
+        return self.M.shape[0]
 
     # -- geometry -------------------------------------------------------
 
@@ -244,9 +248,6 @@ class MpecProblem:
     def f_value(self, x, y) -> float:
         return self.objective.value(x, y)
 
-    def f_grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        return self.objective.grad(x, y)
-
     def F(self, x, y) -> np.ndarray:
         return eval_F(self, x, y)
 
@@ -260,11 +261,7 @@ class MpecProblem:
 def build_lcp_mpec(M, qmap: AffineParamMap, objective: QuadObjective,
                    x_box, multiplier_bound: float) -> MpecProblem:
     """Assemble and validate an MPEC from its parts."""
-    M = _as_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"M must be square, got shape {M.shape}")
-    return MpecProblem(n=qmap.in_dim, m=M.shape[0], objective=objective,
-                       x_box=x_box, M=M, qmap=qmap,
+    return MpecProblem(objective=objective, x_box=x_box, M=M, qmap=qmap,
                        multiplier_bound=multiplier_bound)
 
 
@@ -273,6 +270,12 @@ def eval_F(problem: MpecProblem, x, y) -> np.ndarray:
     x = _as_vector(x, "x", size=problem.n)
     y = _as_vector(y, "y", size=problem.m)
     return problem.M @ y + (problem.qmap.Q @ x + problem.qmap.q0)
+
+
+def warm_point(problem: MpecProblem, x, y) -> KktPoint:
+    """(x, y) with the multiplier warm-started at the slack clipped to
+    [0, multiplier_bound]."""
+    return KktPoint(x, y, np.clip(eval_F(problem, x, y), 0.0, problem.multiplier_bound))
 
 
 # -- file format ---------------------------------------------------------
@@ -288,6 +291,11 @@ def problem_from_dict(doc: dict) -> MpecProblem:
     try:
         n = int(doc["n"])
         m = int(doc["m"])
+        qmap = AffineParamMap(doc["Q"], doc["q0"])
+        M = _as_matrix(doc["M"], "M")
+        if (qmap.in_dim, M.shape[0]) != (n, m):
+            raise SchemaError(f"declared (n, m) = ({n}, {m}), but Q has {qmap.in_dim} "
+                              f"columns and M has {M.shape[0]} rows")
         obj_doc = doc["objective"]
         if not isinstance(obj_doc, dict):
             raise SchemaError("objective must be an object")
@@ -299,17 +307,15 @@ def problem_from_dict(doc: dict) -> MpecProblem:
             y_lin=obj_doc.get("y_lin", np.zeros(m)),
             const=obj_doc.get("const", 0.0),
         )
-        qmap = AffineParamMap(doc["Q"], doc["q0"])
-        return build_lcp_mpec(doc["M"], qmap, objective, doc["x_box"],
-                              doc["multiplier_bound"])
+        return build_lcp_mpec(M, qmap, objective, doc["x_box"], doc["multiplier_bound"])
     except SchemaError:
         raise
     except (DimensionMismatch, UnboundedBox, ValueError, TypeError) as exc:
         raise SchemaError(f"invalid problem document: {exc}") from exc
 
 
-def parse_problem_file(path) -> MpecProblem:
-    """Read and validate a JSON problem file."""
+def read_problem_doc(path) -> dict:
+    """Read and decode a JSON problem file; the document must be an object."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -323,7 +329,12 @@ def parse_problem_file(path) -> MpecProblem:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level value must be an object")
-    return problem_from_dict(doc)
+    return doc
+
+
+def parse_problem_file(path) -> MpecProblem:
+    """Read and validate a JSON problem file."""
+    return problem_from_dict(read_problem_doc(path))
 
 
 def problem_to_dict(problem: MpecProblem) -> dict:

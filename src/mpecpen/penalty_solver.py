@@ -33,14 +33,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AtKink
-from .model import KktPoint, MpecProblem, eval_F
+from .errors import AtKink, DimensionMismatch
+from .model import KktPoint, MpecProblem, warm_point
 from . import residuals as res
 from .residuals import KINK_TOLERANCE, ResidualSpec
 
 CLASS_FEASIBLE = "FeasibleMinimizer"
 CLASS_INFEASIBLE = "InfeasiblePenaltyStationary"
 CLASS_LIMIT = "IterationLimit"
+
+#: the inner search stops when its step falls below this
+INNER_TOL = 1e-9
+#: a round whose residual is above this share of the previous round's has
+#: stagnated, and the stationarity test decides whether the solve stops
+RESIDUAL_DECREASE = 0.5
 
 
 @dataclass(frozen=True)
@@ -59,16 +65,18 @@ class PenaltyConfig:
     residual: ResidualSpec = field(default_factory=lambda: ResidualSpec(
         kind=res.KIND_KKT, norm=res.NORM_L2, gamma=0.5, squared_stationarity=True))
     alpha_fixed: bool = False
-    inner_tol: float = 1e-9
-    residual_decrease: float = 0.5
 
     def __post_init__(self):
         if self.alpha0 <= 0:
             raise ValueError("alpha0 must be positive")
         if self.growth <= 1 and not self.alpha_fixed:
             raise ValueError("growth must exceed 1")
-        if self.eps_feas <= 0 or self.eps_stat <= 0 or self.inner_tol <= 0:
+        if self.eps_feas <= 0 or self.eps_stat <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1")
+        if self.max_inner < 0:
+            raise ValueError("max_inner must be nonnegative")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
 
@@ -233,8 +241,7 @@ def q5_toy_landscape() -> Landscape:
 # -- inner solver ---------------------------------------------------------
 
 def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
-             budget: int, tol: float,
-             callback: Optional[Callable[[np.ndarray, float], None]] = None
+             budget: int, callback: Optional[Callable[[np.ndarray, float], None]] = None
              ) -> tuple[np.ndarray, float, int]:
     z = np.clip(z0, land.lower, land.upper)
     phi = land.penalized(z, alpha, gamma)
@@ -244,7 +251,7 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
     widths = land.upper - land.lower
     step = 0.25 * float(np.max(widths)) if np.max(widths) > 0 else 0.0
     eye = np.eye(land.dim)
-    while step >= tol and evals < budget:
+    while step >= INNER_TOL and evals < budget:
         polls: list[np.ndarray] = []
         for j in range(land.dim):
             polls.append(eye[j])
@@ -272,8 +279,7 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
 
 
 def _gradient_refine(land: Landscape, alpha: float, z: np.ndarray, phi: float,
-                     budget: int, tol: float,
-                     callback: Optional[Callable[[np.ndarray, float], None]] = None
+                     budget: int, callback: Optional[Callable[[np.ndarray, float], None]] = None
                      ) -> tuple[np.ndarray, float, int]:
     # projected gradient with backtracking on objective + alpha*sqrt(r);
     # bails out as soon as the iterate reaches the kink region
@@ -304,30 +310,28 @@ def _gradient_refine(land: Landscape, alpha: float, z: np.ndarray, phi: float,
             step *= 0.5
         if not accepted:
             break
-        if step * gnorm < tol:
+        if step * gnorm < INNER_TOL:
             break
     return z, phi, evals
 
 
 def minimize_landscape(land: Landscape, alpha: float, gamma: float,
-                       z0: np.ndarray, budget: int, tol: float,
-                       callback=None) -> np.ndarray:
-    z, phi, used = _compass(land, alpha, gamma, z0, budget, tol, callback)
+                       z0: np.ndarray, budget: int, callback=None) -> np.ndarray:
+    z, phi, used = _compass(land, alpha, gamma, z0, budget, callback)
     if gamma == 0.5 and land.sqrt_grad is not None and budget > used:
         if land.residual(z) > KINK_TOLERANCE:
             z, phi, used2 = _gradient_refine(land, alpha, z, phi,
-                                             budget - used, tol, callback)
+                                             budget - used, callback)
             # compass polish after the smooth pass, in case the gradient
             # walked into a kinked valley
             if budget > used + used2:
                 z, phi, _ = _compass(land, alpha, gamma, z, budget - used - used2,
-                                     tol, callback)
+                                     callback)
     return z
 
 
 def inner_minimize(problem: MpecProblem, alpha: float, spec: ResidualSpec,
-                   z0: KktPoint, budget: int, tol: float = 1e-9,
-                   callback=None) -> KktPoint:
+                   z0: KktPoint, budget: int, callback=None) -> KktPoint:
     """Approximately minimize f + alpha*r^gamma over the box from z0.
 
     Always returns the best point found; with a zero budget that is z0
@@ -335,24 +339,23 @@ def inner_minimize(problem: MpecProblem, alpha: float, spec: ResidualSpec,
     """
     z0.check_dims(problem)
     land = landscape_from_problem(problem, spec)
-    z = minimize_landscape(land, alpha, spec.gamma, z0.to_z(), budget, tol,
-                           callback)
+    z = minimize_landscape(land, alpha, spec.gamma, z0.to_z(), budget, callback)
     return problem.split(z)
 
 
 # -- stationarity ---------------------------------------------------------
 
 def stationarity_measure(land: Landscape, z: np.ndarray, alpha: float,
-                         gamma: float, boundary_tol: float = 0.0) -> float:
+                         gamma: float) -> float:
     """Most negative box-feasible signed-coordinate directional derivative
     of the penalized objective, clamped at zero."""
     worst = 0.0
     d = np.zeros(land.dim)
     for j in range(land.dim):
         for sign in (1.0, -1.0):
-            if sign > 0 and z[j] >= land.upper[j] - boundary_tol:
+            if sign > 0 and z[j] >= land.upper[j]:
                 continue
-            if sign < 0 and z[j] <= land.lower[j] + boundary_tol:
+            if sign < 0 and z[j] <= land.lower[j]:
                 continue
             d[j] = sign
             ddi = res._penalized_slope(land.objective_slope, land.expansion, z, d,
@@ -378,16 +381,18 @@ def default_start(problem: MpecProblem) -> KktPoint:
     """Box-midpoint upper variables, zero lower variables, multiplier
     warm-started at the positive part of the slack."""
     x = 0.5 * (problem.x_box[:, 0] + problem.x_box[:, 1])
-    y = np.zeros(problem.m)
-    lam = np.clip(eval_F(problem, x, y), 0.0, problem.multiplier_bound)
-    return KktPoint(x, y, lam)
+    return warm_point(problem, x, np.zeros(problem.m))
 
 
 def run_continuation(land: Landscape, config: PenaltyConfig,
                      z0: np.ndarray) -> SolveReport:
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != land.lower.shape:
+        raise DimensionMismatch(f"start has shape {z0.shape}, the landscape has "
+                                f"dimension {land.dim}")
     gamma = config.gamma
     alpha = config.alpha0
-    z = np.clip(np.asarray(z0, dtype=float), land.lower, land.upper)
+    z = np.clip(z0, land.lower, land.upper)
     alphas: list[float] = []
     rs: list[float] = []
     fs: list[float] = []
@@ -395,8 +400,7 @@ def run_continuation(land: Landscape, config: PenaltyConfig,
     classification = CLASS_LIMIT
     prev_r = None
     for _ in range(config.max_outer):
-        z = minimize_landscape(land, alpha, gamma, z, config.max_inner,
-                               config.inner_tol)
+        z = minimize_landscape(land, alpha, gamma, z, config.max_inner)
         r = land.residual(z)
         alphas.append(alpha)
         rs.append(r)
@@ -405,7 +409,7 @@ def run_continuation(land: Landscape, config: PenaltyConfig,
         if r <= config.eps_feas:
             classification = CLASS_FEASIBLE
             break
-        if prev_r is not None and r > config.residual_decrease * prev_r:
+        if prev_r is not None and r > RESIDUAL_DECREASE * prev_r:
             stat = stationarity_measure(land, z, alpha, gamma)
             if stat <= config.eps_stat:
                 classification = CLASS_INFEASIBLE
@@ -434,11 +438,8 @@ def penalty_continuation(problem: MpecProblem, config: PenaltyConfig,
     return run_continuation(land, config, start.to_z())
 
 
-def random_starts(land_or_problem, count: int, seed: int = 0) -> list[np.ndarray]:
+def random_starts(problem: MpecProblem, count: int, seed: int = 0) -> list[np.ndarray]:
     """Uniform starting points in the search box, deterministic per seed."""
-    if isinstance(land_or_problem, MpecProblem):
-        lower, upper = land_or_problem.z_lower, land_or_problem.z_upper
-    else:
-        lower, upper = land_or_problem.lower, land_or_problem.upper
+    lower, upper = problem.z_lower, problem.z_upper
     rng = np.random.default_rng(seed)
     return [lower + rng.random(lower.size) * (upper - lower) for _ in range(count)]

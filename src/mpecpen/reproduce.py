@@ -3,7 +3,9 @@
 Each case loads its expected values from a fixture file (with inline
 provenance tags), recomputes them through the library, and reports one
 pass/fail check per expected value.  The case ids are stable identifiers
-used by the command line.
+used by the command line.  The error-bound probe instances that
+``mpecpen probe`` runs are defined here too, once, and the cases that
+check them build on the same definitions.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 
 from .errors import UnknownCase
 from .errorbound import (
+    ErrorBoundEstimate,
+    RayDivergenceReport,
     fit_exponent,
     hoffman_baseline,
     polyhedron_residual,
@@ -115,29 +119,76 @@ def _sq_spec(gamma: float) -> ResidualSpec:
     return ResidualSpec("kkt", "l2", gamma, squared_stationarity=True)
 
 
+# -- probe instances ------------------------------------------------------
+
+_SQUARE = [[-1.0, 1.0], [-1.0, 1.0]]
+
+
+def _halfspace_samples(count: int, seed: int) -> list:
+    # distance to {p : p0 <= 0} and the residual [p0]_+ coincide
+    cloud = sample_cloud(None, _SQUARE, count, seed)
+    return [(max(p[0], 0.0), max(p[0], 0.0)) for p in cloud]
+
+
+def _quad_samples(count: int, seed: int) -> list:
+    # the zero set of p^2 is {0}: distance |p|, residual p^2
+    cloud = sample_cloud(None, [[-1.0, 1.0]], count, seed)
+    return [(abs(p[0]), p[0] ** 2) for p in cloud]
+
+
+def _lcp_q2_samples(count: int, seed: int) -> list:
+    doc = load_case("quad-exponent").doc
+    lcp = LcpInstance(doc["lcp_M"], doc["lcp_q"])
+    sols = solve_lcp_enumerate(lcp)
+    cloud = sample_cloud(lcp, doc["lcp_box"], count, seed)
+    return [(distance_to_solution_set(p, sols), min_residual(p, lcp.slack(p), "l2"))
+            for p in cloud]
+
+
+#: (distance, residual) samplers of the exponent-fit probes, by fixture name
+SAMPLERS = {"linear-halfspace": _halfspace_samples, "quad-scalar": _quad_samples,
+            "lcp-q2": _lcp_q2_samples}
+#: the linear systems (A, a, B, b), {z : A z <= a, B z = b}, of the Hoffman probes
+HOFFMAN_SYSTEMS = {"hoffman-halfspace": ([[1.0, 0.0]], [0.0], [], []),
+                   "hoffman-corner": ([[1.0, 0.0]], [0.0], [[0.0, 1.0]], [0.0])}
+
+
+def probe_fixture(name: str, count: int, seed: int) -> tuple[list, ErrorBoundEstimate]:
+    """(residual, distance) rows over a seeded cloud of ``count`` points,
+    and the fitted estimate (for a Hoffman system, the sharp constant)."""
+    if name in HOFFMAN_SYSTEMS:
+        A, a, B, b = HOFFMAN_SYSTEMS[name]
+        cloud = sample_cloud(None, _SQUARE, count, seed)
+        rows = [(polyhedron_residual(A, a, B, b, p), project_polyhedron(A, a, B, b, p)[1])
+                for p in cloud]
+        return rows, hoffman_baseline(A, a, B, b, cloud)
+    samples = SAMPLERS[name](count, seed)
+    return [(r, d) for d, r in samples], fit_exponent(samples)
+
+
+def q1_ray_reports(doc: dict) -> tuple[RayDivergenceReport, RayDivergenceReport]:
+    """The ray of the ``q1-ray`` case document against the enumerated
+    solution set (empty for the data as given) and against the nominal
+    solutions."""
+    ray = (LcpInstance(doc["M"], doc["q"]), doc["base"], doc["direction"], doc["t_values"])
+    return (ray_divergence_test(*ray),
+            ray_divergence_test(*ray, solutions=doc["nominal_solutions"]))
+
+
 # -- cases ----------------------------------------------------------------
 
 def _run_q1_ray(case: ReproCase, out: CaseResult) -> None:
     doc = case.doc
-    lcp = LcpInstance(doc["M"], doc["q"])
+    rep, rep2 = q1_ray_reports(doc)
     want = case.expected["residual_on_ray"]["value"]
-    base = np.asarray(doc["base"])
-    direction = np.asarray(doc["direction"])
-    worst = 0.0
-    for t in doc["t_values"]:
-        z = base + t * direction
-        r = min_residual(z, lcp.slack(z), "l2")
-        worst = max(worst, abs(r - want))
+    worst = max(abs(s.residual - want) for s in rep.rows)
     out.add("residual-on-ray", worst <= case.tolerance,
             f"max deviation from {want!r}: {worst!r}")
-    sols = solve_lcp_enumerate(lcp)
+    sols = solve_lcp_enumerate(LcpInstance(doc["M"], doc["q"]))
     out.add("oracle-set-empty", sols.empty_flag == case.expected["oracle_set_empty"]["value"],
             f"empty_flag={sols.empty_flag}, bases_explored={sols.bases_explored}")
-    rep = ray_divergence_test(lcp, base, direction, doc["t_values"])
     out.add("empty-set-note", "empty" in rep.note and not rep.refuted,
             f"note={rep.note[:48]!r}")
-    rep2 = ray_divergence_test(lcp, base, direction, doc["t_values"],
-                               solutions=doc["nominal_solutions"])
     out.add("refuted-vs-nominal",
             rep2.refuted == case.expected["refuted_vs_nominal"]["value"],
             f"refuted={rep2.refuted}, note={rep2.note[:24]!r}")
@@ -313,12 +364,11 @@ def _run_q5_infeasible(case: ReproCase, out: CaseResult) -> None:
 def _run_hoffman(case: ReproCase, out: CaseResult) -> None:
     doc = case.doc
     cloud = sample_cloud(None, doc["cloud_box"], doc["cloud_count"], doc["cloud_seed"])
-    A, a = [[1.0, 0.0]], [0.0]
-    est = hoffman_baseline(A, a, [], [], cloud)
+    est = hoffman_baseline(*HOFFMAN_SYSTEMS["hoffman-halfspace"], cloud)
     want = case.expected["halfspace_tau"]["value"]
     out.add("halfspace-tau", _close(est.tau_hat, want, case.tolerance),
             f"tau={est.tau_hat!r}")
-    B, b = [[0.0, 1.0]], [0.0]
+    A, a, B, b = HOFFMAN_SYSTEMS["hoffman-corner"]
     est2 = hoffman_baseline(A, a, B, b, cloud)
     cap = case.expected["corner_tau_cap"]["value"]
     out.add("corner-tau-cap", est2.tau_hat <= cap + case.tolerance,
@@ -340,22 +390,15 @@ def _run_hoffman(case: ReproCase, out: CaseResult) -> None:
 def _run_quad_exponent(case: ReproCase, out: CaseResult) -> None:
     doc = case.doc
     count, seed = doc["cloud_count"], doc["cloud_seed"]
-    cloud = sample_cloud(None, [[-1.0, 1.0], [-1.0, 1.0]], count, seed)
-    est = fit_exponent([(max(p[0], 0.0), max(p[0], 0.0)) for p in cloud])
+    est = fit_exponent(_halfspace_samples(count, seed))
     want = case.expected["halfspace_gamma"]["value"]
     out.add("halfspace-gamma", _close(est.gamma_hat, want, case.tolerance),
             f"gamma={est.gamma_hat!r}")
-    cloud1 = sample_cloud(None, [[-1.0, 1.0]], count, seed)
-    est = fit_exponent([(abs(p[0]), p[0] ** 2) for p in cloud1])
+    est = fit_exponent(_quad_samples(count, seed))
     want = case.expected["quad_gamma"]["value"]
     out.add("quad-gamma", _close(est.gamma_hat, want, case.tolerance),
             f"gamma={est.gamma_hat!r}")
-    lcp = LcpInstance(doc["lcp_M"], doc["lcp_q"])
-    sols = solve_lcp_enumerate(lcp)
-    cloud2 = sample_cloud(lcp, doc["lcp_box"], count, seed)
-    samples = [(distance_to_solution_set(p, sols), min_residual(p, lcp.slack(p), "l2"))
-               for p in cloud2]
-    est = fit_exponent(samples)
+    est = fit_exponent(_lcp_q2_samples(count, seed))
     lo, hi = case.expected["lcp_gamma_bracket"]["value"]
     out.add("lcp-gamma-bracket", lo <= est.gamma_hat <= hi,
             f"gamma={est.gamma_hat!r} bracket=[{lo!r}, {hi!r}]")

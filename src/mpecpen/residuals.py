@@ -153,19 +153,18 @@ def _norm_pieces(value: np.ndarray, rate: np.ndarray,
     return 0.0, float(np.linalg.norm(rate)), 0.0
 
 
-def power_slope(r0: float, slope: float, curve: float, gamma: float,
-                kink_tolerance: float = KINK_TOLERANCE) -> float:
+def power_slope(r0: float, slope: float, curve: float, gamma: float) -> float:
     """One-sided directional derivative of t -> r(t)^gamma at t = 0+,
     given the growth expansion of r.  Returns +inf where a fractional
     power has a vertical tangent (never a descent direction)."""
-    if r0 > kink_tolerance:
+    if r0 > KINK_TOLERANCE:
         return gamma * r0 ** (gamma - 1.0) * slope
     # on (or numerically at) the zero set
     if gamma == 1.0:
         return slope
-    if slope > kink_tolerance:
+    if slope > KINK_TOLERANCE:
         return math.inf
-    if slope < -kink_tolerance:
+    if slope < -KINK_TOLERANCE:
         # residuals are nonnegative, so a genuinely negative slope at the
         # zero set cannot occur; treat defensively as flat
         return 0.0
@@ -315,8 +314,7 @@ class _Kernel:
             r0, slope, curve = r0 + v, slope + sl, curve + cu
         return r0, slope, curve
 
-    def sqrt_grad(self, z: np.ndarray, alpha: float,
-                  kink_tolerance: float = KINK_TOLERANCE) -> np.ndarray:
+    def sqrt_grad(self, z: np.ndarray, alpha: float) -> np.ndarray:
         """Gradient of f + alpha * sqrt(r) for the squared-stationarity
         residual r(z) = ||F(x,y) - lambda||^2 + sum lambda_i y_i, at points
         with r(z) above the kink tolerance.
@@ -329,9 +327,9 @@ class _Kernel:
         x, y, lam = self._split(z)
         s = self._F(x, y) - lam
         r = self._squared(s, y, lam)
-        if r <= kink_tolerance:
+        if r <= KINK_TOLERANCE:
             raise AtKink(f"residual {r:.3e} is at or below the kink tolerance "
-                         f"{kink_tolerance:.1e}; use directional derivatives")
+                         f"{KINK_TOLERANCE:.1e}; use directional derivatives")
         gx, gy = self.f.grad(x, y)
         scale = alpha / (2.0 * math.sqrt(r))
         grad_x = gx + scale * (2.0 * self.Q.T @ s)
@@ -406,10 +404,9 @@ def penalized_dirderiv(problem: MpecProblem, z: KktPoint, d: np.ndarray,
                             alpha, spec.gamma)
 
 
-def grad_penalized_sqrt(problem: MpecProblem, z: KktPoint, alpha: float,
-                        kink_tolerance: float = KINK_TOLERANCE) -> np.ndarray:
+def grad_penalized_sqrt(problem: MpecProblem, z: KktPoint, alpha: float) -> np.ndarray:
     """Gradient of f + alpha * sqrt(r) for the squared-stationarity kkt
     residual; see ``_Kernel.sqrt_grad``.  Raises AtKink at or below the
     kink tolerance."""
     z.check_dims(problem)
-    return _Kernel(problem).sqrt_grad(z.to_z(), alpha, kink_tolerance)
+    return _Kernel(problem).sqrt_grad(z.to_z(), alpha)

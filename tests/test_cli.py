@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,13 @@ class TestSolve:
         bad.write_text('{"n": 1}')
         res = run_cli("solve", str(bad))
         assert res.returncode == 1
+
+    def test_non_numeric_file_gamma_exit_one(self, tmp_path):
+        bad = tmp_path / "toy.mpec"
+        bad.write_text('{"toy": "q5-infeasible", "gamma": [1.0]}')
+        res = run_cli("solve", str(bad))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and "gamma" in res.stderr
 
     def test_toy_trap_exit_two(self):
         res = run_cli("solve", "fixtures/q5-toy.mpec", "--alpha-fixed", "2", "--start", "3")
@@ -173,6 +181,82 @@ class TestFlagValidation:
         res = run_cli("solve", "fixtures/lcp-param.mpec", "--gamma", "1.5")
         assert res.returncode == 1
         assert "gamma" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("probe", "--fixture", "quad-scalar", "--count", "0"),
+        ("solve", "fixtures/q5-toy.mpec", "--start", "1 2"),
+        ("solve", "fixtures/lcp-param.mpec", "--max-outer", "0"),
+        ("solve", "fixtures/lcp-param.mpec", "--max-inner", "-5"),
+    ])
+    def test_bad_input_is_one_error_line(self, args):
+        res = run_cli(*args)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+
+#: sha256 of the stdout and the exit code of commands on valid input,
+#: recorded before the command line was reduced to a front end over the
+#: library; every byte must stay as it was
+CLI_DIGESTS = {
+    "probe --fixture linear-halfspace":
+        ("a16095e75617eb53c4bed419a39f5bac8f7c6ac86f146c331c0667f5f561b601", 0),
+    "probe --fixture linear-halfspace --count 50 --seed 3":
+        ("ac7d7e27a9a6ffa3ac28bf62a803a3c8ec98818645e8e4f1ff495c89d09c84b0", 0),
+    "probe --fixture quad-scalar":
+        ("5c14cf89815fcc51ba0980d343fb433af1632f355ed364033fefbb8d83178dce", 0),
+    "probe --fixture quad-scalar --count 50 --seed 3":
+        ("41c4726aaed344fa7b3dd9070cc81315e9dc3c379fb6d403ea9e960d0e6cc19e", 0),
+    "probe --fixture lcp-q2":
+        ("c30fa94e037e166a3fd79a370d899ccd6aef23ab38498efe3c7f5d816e45579d", 0),
+    "probe --fixture lcp-q2 --count 50 --seed 3":
+        ("8f2e1dad4dfc7b6c539b0152a2f954ce4121a3418f838d00bd3777e0c425c1b9", 0),
+    "probe --fixture hoffman-halfspace":
+        ("bc5b18e7f67001e189ad61ad942413bfba18b7b66905b8a674034c38c8c5abd8", 0),
+    "probe --fixture hoffman-halfspace --count 50 --seed 3":
+        ("fba8f9271e33e07ef033e918132ffd6610bed4f037aeff9c98a0f0acf625cd42", 0),
+    "probe --fixture hoffman-corner":
+        ("b6c2a43cdfc4834bb8d3c5a212a1c6a052e0249b28cbafb2d779b6b661cc401b", 0),
+    "probe --fixture hoffman-corner --count 50 --seed 3":
+        ("77b1695782c6d403565fe9c498c1e2b02b81cea2b3b422c16072cc441ee0ee54", 0),
+    "probe --ray q1":
+        ("ceebff2c31615cd8528f27713ddda8e5c1c3412dc9caeb101a261d1752456830", 0),
+    "solve fixtures/lcp-param.mpec":
+        ("da983dafbd1c41d9a172ec47d1b365458829f9dd44fa4a99a814016d72ec1d0c", 0),
+    "solve fixtures/lcp-param.mpec --gamma 0.5 --alpha0 1":
+        ("da983dafbd1c41d9a172ec47d1b365458829f9dd44fa4a99a814016d72ec1d0c", 0),
+    "solve fixtures/lcp-param.mpec --start 2":
+        ("da983dafbd1c41d9a172ec47d1b365458829f9dd44fa4a99a814016d72ec1d0c", 0),
+    "solve fixtures/lcp-param.mpec --start '2 0 0'":
+        ("da983dafbd1c41d9a172ec47d1b365458829f9dd44fa4a99a814016d72ec1d0c", 0),
+    "solve fixtures/lcp-param.mpec --start '2, 0, 0, 0, 0'":
+        ("da983dafbd1c41d9a172ec47d1b365458829f9dd44fa4a99a814016d72ec1d0c", 0),
+    "solve fixtures/q5-toy.mpec":
+        ("cfd2d84e87aeab5d07612ce26f93eee5ff90a88e16d44c0cff75c709f8f17b22", 0),
+    "solve fixtures/q5-toy.mpec --alpha-fixed 2 --start 3":
+        ("8785ada261ab9e7ba4b8ec9883ad1167083923a4eb7a175e2cedc536d6cabd9d", 2),
+    "solve fixtures/q5-toy.mpec --gamma 0.5 --start 0.1":
+        ("66ed0d33a4b7efd4c41aec70ca94e1ef836c8a8d9e0c8feae0d3cc1c55e1cfb6", 0),
+    "solve fixtures/q5-toy.mpec --alpha-fixed 2 --start 3 --max-outer 1":
+        ("ba60ac02a545c761fe655742b46df1e2c057731bce38b7bea90a096305a7791e", 3),
+    "residual fixtures/lcp-param.mpec --x 1 --y '-1 0' --lam '0 0' --norm l1 --variant norm":
+        ("0033de8897a3e53b5f427e0f27ce488db4f05d259f22a6afba7b14c9e0c008d4", 0),
+    "residual fixtures/lcp-param.mpec --x 1 --y '0 0' --residual min --norm l1":
+        ("e1f7e251e6abaabeac53fd0fa0b95f9309a9df2faf3fdd2a8284191c0f6ba68b", 0),
+    "residual fixtures/lcp-param.mpec --x 1 --y '0.5 0.2'":
+        ("31126f36c0a2ba68e4930c9427b562c5dc4ce69a9c18918191d6a4969820edca", 0),
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_DIGESTS))
+def test_cli_stdout_is_byte_identical(command, monkeypatch, capsys):
+    monkeypatch.delenv("MPECPEN_FIXTURES", raising=False)
+    monkeypatch.chdir(ROOT)
+    digest, code = CLI_DIGESTS[command]
+    assert cli.main(shlex.split(command)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_reproduce_all_stdout_is_byte_identical(monkeypatch, capsys):

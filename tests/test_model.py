@@ -123,6 +123,12 @@ class TestProblemFiles:
         with pytest.raises(SchemaError):
             parse_problem_file(f)
 
+    def test_declared_dimensions_must_match(self, fixtures_dir):
+        doc = json.loads((fixtures_dir / "lcp-param.mpec").read_text())
+        doc["n"], doc["m"] = 7, 9
+        with pytest.raises(SchemaError, match="declared"):
+            problem_from_dict(doc)
+
     def test_missing_keys(self, tmp_path):
         f = tmp_path / "partial.mpec"
         f.write_text(json.dumps({"n": 1, "m": 2}))

@@ -4,6 +4,7 @@ import pytest
 from mpecpen import model
 from mpecpen import (
     AffineParamMap,
+    DimensionMismatch,
     KktPoint,
     QuadObjective,
     ResidualSpec,
@@ -39,7 +40,12 @@ class TestConfig:
             PenaltyConfig(growth=1.0)
         with pytest.raises(ValueError):
             PenaltyConfig(gamma=0.0)
+        with pytest.raises(ValueError, match="max_outer"):
+            PenaltyConfig(max_outer=0)
+        with pytest.raises(ValueError, match="max_inner"):
+            PenaltyConfig(max_inner=-5)
         PenaltyConfig(growth=1.0, alpha_fixed=True)  # growth unused when fixed
+        PenaltyConfig(max_outer=1, max_inner=0)
 
     def test_effective_spec_overrides_gamma(self):
         cfg = PenaltyConfig(gamma=1.0)
@@ -144,6 +150,10 @@ class TestContinuation:
         cfg = PenaltyConfig(alpha0=2.0, alpha_fixed=True, gamma=1.0, max_outer=1)
         rep = run_continuation(land, cfg, np.array([3.0]))
         assert rep.classification == CLASS_LIMIT
+
+    def test_start_of_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch, match="start"):
+            run_continuation(q5_toy_landscape(), PenaltyConfig(), np.array([1.0, 2.0]))
 
     def test_determinism(self, lcp_param):
         cfg = PenaltyConfig(gamma=0.5)
