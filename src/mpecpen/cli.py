@@ -31,9 +31,8 @@ from .penalty_solver import (
     CLASS_FEASIBLE,
     CLASS_INFEASIBLE,
     CLASS_LIMIT,
-    Landscape,
     PenaltyConfig,
-    landscape_from_problem,
+    penalty_continuation,
     q5_toy_landscape,
     run_continuation,
 )
@@ -96,18 +95,19 @@ def _config_from_args(args) -> PenaltyConfig:
                          residual=_spec_from_args(args), alpha_fixed=fixed)
 
 
-def _start(text: str | None, land: Landscape, problem: MpecProblem | None) -> np.ndarray:
-    """The solve's start z from --start given as x, (x, y) or (x, y, lambda):
-    a missing y is zero and a missing lambda is warm-started.  Without
-    --start, x is the box midpoint.  The toy (no problem) has no y or lambda."""
-    n, m = (problem.n, problem.m) if problem is not None else (land.dim, 0)
-    vec = 0.5 * (land.lower[:n] + land.upper[:n]) if text is None else _parse_vector(text)
-    lengths = sorted({n, n + m, n + 2 * m})
-    if vec.size not in lengths:
-        raise MpecError(f"--start has length {vec.size}, expected one of {lengths}")
-    if problem is None or vec.size == n + 2 * m:
-        return vec
-    return warm_point(problem, vec[:n], vec[n:] if vec.size > n else np.zeros(m)).to_z()
+def _mpec_start(text: str | None, problem: MpecProblem) -> KktPoint | None:
+    """--start given as x, (x, y) or (x, y, lambda): a missing y is zero and
+    a missing lambda is warm-started.  None leaves the solver's default."""
+    if text is None:
+        return None
+    vec = _parse_vector(text)
+    n, m = problem.n, problem.m
+    if vec.size == n + 2 * m:
+        return problem.split(vec)
+    if vec.size not in (n, n + m):
+        raise MpecError(f"--start has length {vec.size}, expected one of "
+                        f"{sorted({n, n + m, n + 2 * m})}")
+    return warm_point(problem, vec[:n], vec[n:] if vec.size > n else np.zeros(m))
 
 
 def _cmd_solve(args) -> int:
@@ -118,11 +118,16 @@ def _cmd_solve(args) -> int:
             raise SchemaError(f"{args.problem}: gamma must be a number, got {gamma!r}")
         args.gamma = 0.5 if gamma is None else float(gamma)
     config = _config_from_args(args)
-    # the q5 toy is a landscape without a lower level; any other file is an MPEC
-    problem = None if doc.get("toy") == "q5-infeasible" else problem_from_dict(doc)
-    land = (q5_toy_landscape() if problem is None
-            else landscape_from_problem(problem, config.effective_spec()))
-    report = run_continuation(land, config, _start(args.start, land, problem))
+    if doc.get("toy") == "q5-infeasible":
+        # a landscape without a lower level: --start is the whole point,
+        # checked by run_continuation; the default is the box midpoint
+        land = q5_toy_landscape()
+        z0 = (0.5 * (land.lower + land.upper) if args.start is None
+              else _parse_vector(args.start))
+        report = run_continuation(land, config, z0)
+    else:
+        problem = problem_from_dict(doc)
+        report = penalty_continuation(problem, config, _mpec_start(args.start, problem))
     _emit(report.to_dict())
     return _EXIT_BY_CLASS[report.classification]
 
@@ -193,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpecpen",
         description="Fractional-power exact penalties for LCP-constrained MPECs")
-    parser.set_defaults(error_prefix="")
+    parser.set_defaults(error_prefix="", input_errors=(MpecError, ValueError, OSError))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run penalty continuation on a problem file")
@@ -229,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the golden reproduction suite")
     p.add_argument("case", type=str, help="case id or 'all'")
-    p.set_defaults(func=_cmd_reproduce)
+    # a case id is the only input: anything but MpecError is a library bug
+    p.set_defaults(func=_cmd_reproduce, input_errors=(MpecError,))
 
     return parser
 
@@ -238,7 +244,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MpecError, ValueError, OSError) as exc:
+    except args.input_errors as exc:
         return _fail(f"{args.error_prefix}{exc}")
 
 

@@ -33,8 +33,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AtKink, DimensionMismatch
-from .model import KktPoint, MpecProblem, warm_point
+from .errors import AtKink
+from .model import KktPoint, MpecProblem, _as_vector, warm_point
 from . import residuals as res
 from .residuals import KINK_TOLERANCE, ResidualSpec
 
@@ -386,10 +386,7 @@ def default_start(problem: MpecProblem) -> KktPoint:
 
 def run_continuation(land: Landscape, config: PenaltyConfig,
                      z0: np.ndarray) -> SolveReport:
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != land.lower.shape:
-        raise DimensionMismatch(f"start has shape {z0.shape}, the landscape has "
-                                f"dimension {land.dim}")
+    z0 = _as_vector(z0, "start", size=land.dim)
     gamma = config.gamma
     alpha = config.alpha0
     z = np.clip(z0, land.lower, land.upper)

@@ -185,6 +185,10 @@ class TestFlagValidation:
     @pytest.mark.parametrize("args", [
         ("probe", "--fixture", "quad-scalar", "--count", "0"),
         ("solve", "fixtures/q5-toy.mpec", "--start", "1 2"),
+        ("solve", "fixtures/q5-toy.mpec", "--start", "nan"),
+        ("solve", "fixtures/lcp-param.mpec", "--start", "nan 0 0 0 0"),
+        ("solve", "fixtures/lcp-param.mpec", "--start", "inf 0 0 0 0"),
+        ("solve", "fixtures/lcp-param.mpec", "--start", "inf"),
         ("solve", "fixtures/lcp-param.mpec", "--max-outer", "0"),
         ("solve", "fixtures/lcp-param.mpec", "--max-inner", "-5"),
     ])
