@@ -48,8 +48,11 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip()]
-    return np.array([[float(v) for v in row.replace(",", " ").split()] for row in rows])
+    rows = [[float(v) for v in row.replace(",", " ").split()]
+            for row in text.split(";") if row.strip()]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows have unequal lengths")
+    return np.array(rows)
 
 
 def _emit(doc: dict) -> None:
@@ -118,13 +121,16 @@ def _cmd_solve(args) -> int:
             raise SchemaError(f"{args.problem}: gamma must be a number, got {gamma!r}")
         args.gamma = 0.5 if gamma is None else float(gamma)
     config = _config_from_args(args)
-    if doc.get("toy") == "q5-infeasible":
+    toy = doc.get("toy")
+    if toy == "q5-infeasible":
         # a landscape without a lower level: --start is the whole point,
         # checked by run_continuation; the default is the box midpoint
         land = q5_toy_landscape()
         z0 = (0.5 * (land.lower + land.upper) if args.start is None
               else _parse_vector(args.start))
         report = run_continuation(land, config, z0)
+    elif toy is not None:
+        raise SchemaError(f"unknown toy {toy!r} (known: q5-infeasible)")
     else:
         problem = problem_from_dict(doc)
         report = penalty_continuation(problem, config, _mpec_start(args.start, problem))

@@ -10,6 +10,8 @@ is augmented with tangent completions: for each signed step in an upper
 variable, the lower variables are completed through the stationarity
 system restricted to the current activity pattern, which keeps the
 residual flat to first order and lets the search ride the manifold.
+Those completions depend only on the activity pattern, so a landscape
+solves them once per pattern and hands out the same read-only arrays.
 When the exponent is 1/2 and the iterate sits off the kink, a
 projected-gradient pass with backtracking refines the compass result;
 all phases only ever accept strict descent, so the penalized objective
@@ -29,7 +31,7 @@ and custom one-dimensional constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -134,7 +136,7 @@ class Landscape:
     #: maps a raw iterate to a KktPoint for reporting (default: all of it as x)
     as_point: Optional[Callable[[np.ndarray], KktPoint]] = None
     #: extra poll directions that follow the feasible manifold, or None
-    tangent_polls: Optional[Callable[[np.ndarray], list[np.ndarray]]] = None
+    tangent_polls: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
 
     @property
     def dim(self) -> int:
@@ -145,6 +147,11 @@ class Landscape:
 
 
 def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscape:
+    if spec.kind == res.KIND_PRODUCT:
+        # y'w = 0 also holds at y = 0 with w < 0, which is no LCP solution
+        raise ValueError("the product residual y'w is a residual only where "
+                         "w >= 0, which the search box does not enforce; "
+                         "solve with the min or kkt residual")
     n, m = problem.n, problem.m
     kernel = res._Kernel(problem, spec)
     sqrt_grad = None
@@ -152,8 +159,9 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
         sqrt_grad = kernel.sqrt_grad
 
     M, Q = problem.M, problem.qmap.Q
+    cache: dict[tuple[bytes, bytes], tuple[np.ndarray, ...]] = {}
 
-    def tangent_polls(z):
+    def tangent_dirs(base, degen):
         # For a signed unit step dx in one upper coordinate, complete
         # (dy, dlambda) so the stationarity block stays zero under an
         # activity pattern of y: active rows keep their multiplier
@@ -162,10 +170,6 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
         # both members near zero are degenerate corners of the solution
         # path, where either branch may continue it, so both patterns
         # are polled.
-        y = z[n:n + m]
-        lam = z[n + m:]
-        base = y > 1e-9
-        degen = (~base) & (lam <= 1e-9)
         patterns = [np.flatnonzero(base)]
         if np.any(degen):
             patterns.append(np.flatnonzero(base | degen))
@@ -193,7 +197,21 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
                     scale = float(np.max(np.abs(d)))
                     if scale > 1.0:
                         d /= scale
+                    d.flags.writeable = False
                     dirs.append(d)
+        return tuple(dirs)
+
+    def tangent_polls(z):
+        # the directions depend on z only through its activity pattern,
+        # and M, Q are fixed for the landscape, so each pattern is solved once
+        y = z[n:n + m]
+        lam = z[n + m:]
+        base = y > 1e-9
+        degen = (~base) & (lam <= 1e-9)
+        key = (base.tobytes(), degen.tobytes())
+        dirs = cache.get(key)
+        if dirs is None:
+            dirs = cache[key] = tangent_dirs(base, degen)
         return dirs
 
     return Landscape(lower=problem.z_lower, upper=problem.z_upper,

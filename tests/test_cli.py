@@ -86,6 +86,7 @@ class TestOracle:
     def test_malformed_exit_one(self):
         res = run_cli("oracle", "--M", "1 2; 3", "--q", "0")
         assert res.returncode == 1
+        assert res.stderr == "error: bad matrix input: rows have unequal lengths\n"
 
     def test_stats_on_stderr(self):
         res = run_cli("oracle", "--M", "0", "--q", "1", "--stats")
@@ -191,6 +192,7 @@ class TestFlagValidation:
         ("solve", "fixtures/lcp-param.mpec", "--start", "inf"),
         ("solve", "fixtures/lcp-param.mpec", "--max-outer", "0"),
         ("solve", "fixtures/lcp-param.mpec", "--max-inner", "-5"),
+        ("solve", "fixtures/lcp-param.mpec", "--residual", "product"),
     ])
     def test_bad_input_is_one_error_line(self, args):
         res = run_cli(*args)
@@ -198,6 +200,13 @@ class TestFlagValidation:
         assert res.stdout == ""
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+    def test_unknown_toy_is_named(self, tmp_path):
+        toy = tmp_path / "toy.mpec"
+        toy.write_text('{"toy": "q6"}')
+        res = run_cli("solve", str(toy))
+        assert res.returncode == 1
+        assert res.stderr == "error: unknown toy 'q6' (known: q5-infeasible)\n"
 
 
 #: sha256 of the stdout and the exit code of commands on valid input,

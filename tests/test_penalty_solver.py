@@ -112,6 +112,47 @@ class TestStationarity:
         assert check_stationarity(p, z2, 0.0, SQ) == pytest.approx(1.0)
 
 
+class TestTangentPolls:
+    # lcp-param points z = (x, y1, y2, lambda1, lambda2); the first two share
+    # the pattern y1 active, and the third adds the degenerate pair
+    # y2 = lambda2 = 0 to it
+    ACTIVE = np.array([0.5, 0.25, 0.0, 0.0, 1.0])
+    ACTIVE_2 = np.array([1.5, 0.75, 0.0, 0.0, 0.5])
+    DEGENERATE = np.array([0.5, 0.25, 0.0, 0.0, 0.0])
+    INACTIVE = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+
+    def test_one_solve_per_pattern(self, lcp_param, monkeypatch):
+        land = landscape_from_problem(lcp_param, SQ)
+        solve = np.linalg.solve
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        land.tangent_polls(self.ACTIVE)
+        first = calls[0]
+        land.tangent_polls(self.ACTIVE_2)
+        assert first > 0 and calls[0] == first
+
+    def test_cached_directions_match_a_fresh_landscape(self, lcp_param):
+        land = landscape_from_problem(lcp_param, SQ)
+        for z in (self.ACTIVE, self.DEGENERATE, self.ACTIVE_2, self.DEGENERATE,
+                  self.INACTIVE, self.ACTIVE):
+            got = land.tangent_polls(z)
+            want = landscape_from_problem(lcp_param, SQ).tangent_polls(z)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # the degenerate pair adds the second pattern's directions
+        assert len(land.tangent_polls(self.DEGENERATE)) > len(land.tangent_polls(self.ACTIVE))
+
+    def test_directions_are_read_only(self, lcp_param):
+        dirs = landscape_from_problem(lcp_param, SQ).tangent_polls(self.ACTIVE)
+        with pytest.raises(ValueError):
+            dirs[0][0] = 1.0
+
+
 class TestContinuation:
     def grid_optimum(self, problem):
         xs = [[x] for x in np.round(np.arange(0.0, 2.0 + 1e-9, 0.01), 10)]
@@ -154,6 +195,12 @@ class TestContinuation:
     def test_start_of_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatch, match="start"):
             run_continuation(q5_toy_landscape(), PenaltyConfig(), np.array([1.0, 2.0]))
+
+    def test_product_residual_rejected(self, lcp_param):
+        # y'w = 0 at x = 1, y = 0, yet w = (-1, 0) there: no LCP solution
+        spec = ResidualSpec("product", "l2", 0.5)
+        with pytest.raises(ValueError, match="w >= 0"):
+            penalty_continuation(lcp_param, PenaltyConfig(residual=spec))
 
     def test_determinism(self, lcp_param):
         cfg = PenaltyConfig(gamma=0.5)
