@@ -24,8 +24,6 @@ from .model import (
     eval_F,
     parse_problem_file,
     problem_from_dict,
-    problem_to_dict,
-    write_problem_file,
 )
 from .residuals import (
     KINK_TOLERANCE,

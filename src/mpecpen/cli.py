@@ -85,7 +85,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args) -> ResidualSpec:
-    return ResidualSpec(kind=args.residual, norm=args.norm, gamma=args.gamma,
+    return ResidualSpec(kind=args.residual, norm=args.norm,
                         squared_stationarity=(args.variant == "squared"))
 
 
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", default=None)
     p.add_argument("--residual", choices=("min", "product", "kkt"), default="kkt")
     p.add_argument("--norm", choices=("l1", "l2"), default="l2")
-    p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--variant", choices=("squared", "norm"), default="norm")
     p.set_defaults(func=_cmd_residual)
 

@@ -102,25 +102,16 @@ class RayDivergenceReport:
     refuted: bool
     note: str
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [{"t": s.t, "residual": s.residual,
-                      "distance": (None if math.isinf(s.distance) else s.distance)}
-                     for s in self.rows],
-            "refuted": self.refuted,
-            "note": self.note,
-        }
-
 
 def ray_divergence_test(lcp: LcpInstance, base, direction, t_values,
-                        solutions=None, norm: str = "l2") -> RayDivergenceReport:
-    """Track residual and distance along base + t*direction.
+                        solutions=None) -> RayDivergenceReport:
+    """Track the l2 natural residual and the distance along base + t*direction.
 
     Flags a refuted global bound when the residual stays inside a bounded
     band (max/min <= 10) while the distance grows by a factor >= 100.
-    ``solutions`` overrides the enumerated solution set; that is needed
-    when the enumerated set is empty, in which case distances are +inf by
-    construction and only noted.
+    ``solutions``, a list of points, overrides the enumerated solution
+    set; that is needed when the enumerated set is empty, in which case
+    distances are +inf by construction and only noted.
     """
     t_values = [float(t) for t in t_values]
     if not t_values or any(b <= a for a, b in zip(t_values, t_values[1:])):
@@ -129,8 +120,6 @@ def ray_divergence_test(lcp: LcpInstance, base, direction, t_values,
     direction = np.asarray(direction, dtype=float)
     if solutions is None:
         sols = solve_lcp_enumerate(lcp)
-    elif isinstance(solutions, SolutionSet):
-        sols = solutions
     else:
         pts = [np.asarray(p, dtype=float) for p in solutions]
         sols = SolutionSet(points=pts, empty_flag=not pts,
@@ -138,7 +127,7 @@ def ray_divergence_test(lcp: LcpInstance, base, direction, t_values,
     rows = []
     for t in t_values:
         z = base + t * direction
-        r = min_residual(z, lcp.slack(z), norm)
+        r = min_residual(z, lcp.slack(z))
         if sols.empty_flag:
             d = math.inf
         else:

@@ -288,9 +288,11 @@ def problem_from_dict(doc: dict) -> MpecProblem:
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
         raise SchemaError(f"missing required keys: {', '.join(missing)}")
+    for key in ("n", "m"):
+        if type(doc[key]) is not int:
+            raise SchemaError(f"{key} must be an integer, got {doc[key]!r}")
+    n, m = doc["n"], doc["m"]
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
         qmap = AffineParamMap(doc["Q"], doc["q0"])
         M = _as_matrix(doc["M"], "M")
         if (qmap.in_dim, M.shape[0]) != (n, m):
@@ -335,28 +337,3 @@ def read_problem_doc(path) -> dict:
 def parse_problem_file(path) -> MpecProblem:
     """Read and validate a JSON problem file."""
     return problem_from_dict(read_problem_doc(path))
-
-
-def problem_to_dict(problem: MpecProblem) -> dict:
-    obj = problem.objective
-    return {
-        "n": problem.n,
-        "m": problem.m,
-        "M": problem.M.tolist(),
-        "Q": problem.qmap.Q.tolist(),
-        "q0": problem.qmap.q0.tolist(),
-        "objective": {
-            "xx": obj.xx.tolist(),
-            "xy": obj.xy.tolist(),
-            "yy": obj.yy.tolist(),
-            "x_lin": obj.x_lin.tolist(),
-            "y_lin": obj.y_lin.tolist(),
-            "const": obj.const,
-        },
-        "x_box": problem.x_box.tolist(),
-        "multiplier_bound": problem.multiplier_bound,
-    }
-
-
-def write_problem_file(problem: MpecProblem, path) -> None:
-    Path(path).write_text(json.dumps(problem_to_dict(problem), indent=2) + "\n")

@@ -147,13 +147,8 @@ class Landscape:
 
 
 def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscape:
-    if spec.kind == res.KIND_PRODUCT:
-        # y'w = 0 also holds at y = 0 with w < 0, which is no LCP solution
-        raise ValueError("the product residual y'w is a residual only where "
-                         "w >= 0, which the search box does not enforce; "
-                         "solve with the min or kkt residual")
     n, m = problem.n, problem.m
-    kernel = res._Kernel(problem, spec)
+    kernel = res.penalty_kernel(problem, spec)
     sqrt_grad = None
     if spec.kind == res.KIND_KKT and spec.squared_stationarity:
         sqrt_grad = kernel.sqrt_grad

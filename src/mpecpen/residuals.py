@@ -3,7 +3,8 @@
 Residual kinds:
 
 * ``min``      -- natural residual ||min(y, w)||, kinked at component ties;
-* ``product``  -- y'w, smooth but signed (only a residual on y, w >= 0);
+* ``product``  -- y'w, smooth but signed (only a residual on y, w >= 0):
+  a value only, outside the directional calculus and the penalty solver;
 * ``kkt``      -- stationarity norm plus violation sums for the one-level
   system: ||F(x,y) - lambda|| + sum [-y_i]_+ + sum [-lambda_i]_+
   + sum |lambda_i y_i|.
@@ -27,6 +28,8 @@ spec), it works on the flat vector z = (x, y, lambda) and neither builds
 a KktPoint nor validates anything.  The solver's landscape is made of its
 bound methods; the public point functions at the end of this module are
 validated wrappers that check their input and make one call into it.
+Whatever needs the growth expansion gets its kernel from
+``penalty_kernel``, which refuses the product kind.
 """
 
 from __future__ import annotations
@@ -251,7 +254,8 @@ class _Kernel:
         return float(y @ w)
 
     def expansion(self, z: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
-        """One-sided growth (r0, slope, curve) of the residual along z + t d.
+        """One-sided growth (r0, slope, curve) of the residual along z + t d,
+        for the min and kkt kinds (see ``penalty_kernel``).
 
         ``slope`` is the one-sided directional derivative of the residual.
         ``curve`` is the quadratic growth coefficient, exact whenever r0 = 0
@@ -267,23 +271,6 @@ class _Kernel:
             vals = np.minimum(y, w)
             rates = np.array([min_dirderiv(y[i], w[i], dy[i], dw[i]) for i in range(m)])
             return _norm_pieces(vals, rates, spec.norm)
-
-        if spec.kind == KIND_PRODUCT:
-            w = self._F(x, y)
-            dw = self.rate(dx, dy)
-            p0 = float(y @ w)
-            p1 = float(dy @ w + y @ dw)
-            p2 = float(dy @ dw)
-            # clamp at zero, matching the penalty evaluation
-            if p0 > 0.0:
-                return p0, p1, p2
-            if p0 < 0.0:
-                return 0.0, 0.0, 0.0
-            if p1 > 0.0:
-                return 0.0, p1, p2
-            if p1 < 0.0:
-                return 0.0, 0.0, 0.0
-            return 0.0, 0.0, max(p2, 0.0)
 
         # kkt kinds
         s0 = self._F(x, y) - lam
@@ -336,6 +323,17 @@ class _Kernel:
         grad_y = gy + scale * (2.0 * self.M.T @ s + lam)
         grad_l = scale * (-2.0 * s + y)
         return np.concatenate([grad_x, grad_y, grad_l])
+
+
+def penalty_kernel(problem: MpecProblem, spec: ResidualSpec) -> _Kernel:
+    """The kernel of a residual the penalty calculus is defined on: min
+    or kkt.  Raises ValueError for the product kind."""
+    if spec.kind == KIND_PRODUCT:
+        # y'w = 0 also holds at y = 0 with w < 0, which is no LCP solution
+        raise ValueError("the product residual y'w is a residual only where "
+                         "w >= 0, which the search box does not enforce; "
+                         "solve with the min or kkt residual")
+    return _Kernel(problem, spec)
 
 
 # -- validated public functions -------------------------------------------
@@ -392,14 +390,14 @@ def residual_expansion(problem: MpecProblem, z: KktPoint, d: np.ndarray,
     """One-sided growth (r0, slope, curve) of the residual along z + t d;
     see ``_Kernel.expansion``."""
     d = _checked_direction(problem, z, d)
-    return _Kernel(problem, spec).expansion(z.to_z(), d)
+    return penalty_kernel(problem, spec).expansion(z.to_z(), d)
 
 
 def penalized_dirderiv(problem: MpecProblem, z: KktPoint, d: np.ndarray,
                        alpha: float, spec: ResidualSpec) -> float:
     """One-sided directional derivative of f + alpha * r^gamma along d."""
     d = _checked_direction(problem, z, d)
-    kernel = _Kernel(problem, spec)
+    kernel = penalty_kernel(problem, spec)
     return _penalized_slope(kernel.objective_slope, kernel.expansion, z.to_z(), d,
                             alpha, spec.gamma)
 

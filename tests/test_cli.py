@@ -108,6 +108,20 @@ class TestResidualCommand:
                       "--y", "0 0", "--residual", "min", "--norm", "l1")
         assert json.loads(res.stdout)["value"] == pytest.approx(1.0)
 
+    def test_product_kind_is_a_value(self):
+        # w = (0, 0.2) at x = 1, y = (0.5, 0.2), so y'w = 0.04
+        res = run_cli("residual", "fixtures/lcp-param.mpec", "--x", "1",
+                      "--y", "0.5 0.2", "--residual", "product")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["value"] == pytest.approx(0.04)
+
+    def test_gamma_flag_is_gone(self):
+        # the residual value never depended on the penalty exponent
+        res = run_cli("residual", "fixtures/lcp-param.mpec", "--x", "1",
+                      "--y", "0 0", "--gamma", "0.7")
+        assert res.returncode == 2
+        assert "unrecognized arguments: --gamma" in res.stderr
+
 
 class TestProbe:
     def test_halfspace_gamma(self):

@@ -16,7 +16,9 @@ from mpecpen import (
     min_residual,
     penalized_objective,
     product_residual,
+    residual_value,
 )
+from mpecpen.penalty_solver import landscape_from_problem
 from mpecpen.residuals import penalized_dirderiv, power_slope, residual_expansion
 
 SQ = ResidualSpec("kkt", "l2", 0.5, squared_stationarity=True)
@@ -197,7 +199,6 @@ class TestExpansionAndSlopes:
                     z = p.split(rng.uniform(-1, 2, size=dim))
                     d = rng.normal(size=dim)
                     d /= np.linalg.norm(d)
-                    from mpecpen import residual_value
                     r0, slope, _ = residual_expansion(p, z, d, spec)
                     base = max(residual_value(p, z, spec), 0.0)
                     assert r0 == pytest.approx(base, abs=1e-12)
@@ -206,6 +207,52 @@ class TestExpansionAndSlopes:
                     rt = max(residual_value(p, zt, spec), 0.0)
                     secant = (rt - r0) / t
                     assert secant == pytest.approx(slope, abs=2e-6)
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_expansion_at_zero_set(self, lcp_param, bilevel, norm):
+        # the norm-variant kinks: a zero stationarity block, zero y or
+        # lambda components and zero complementarity products
+        spec = ResidualSpec("kkt", norm, 0.5, squared_stationarity=False)
+        solution = KktPoint([0.5], [0.25, 0.0], [0.0, 0.5])
+        origin = KktPoint([0.0], [0.0], [0.0])
+        rng = np.random.default_rng(8)
+        # rates to leave the zero set along random directions
+        for p, z in ((lcp_param, solution), (bilevel, origin)):
+            zf = z.to_z()
+            assert residual_value(p, z, spec) == 0.0
+            for _ in range(40):
+                d = rng.normal(size=zf.size)
+                r0, slope, _ = residual_expansion(p, z, d, spec)
+                t = 1e-7
+                secant = residual_value(p, p.split(zf + t * d), spec) / t
+                assert r0 == 0.0
+                assert secant == pytest.approx(slope, rel=1e-5, abs=1e-5)
+        # directions with zero slope, in small integers so the stationarity
+        # rate is exactly zero: along the lcp-param solution path, and into
+        # the bilevel origin with dy, dlambda >= 0, where r = t^2 dlambda dy
+        dirs = [(lcp_param, solution, c * np.array([1.0, 0.5, 0.0, 0.0, -1.0]))
+                for c in (-2.0, 1.0)]
+        for dy, dl in rng.integers(0, 4, size=(6, 2)).astype(float):
+            dirs.append((bilevel, origin, np.array([dy - dl, dy, dl])))
+        for p, z, d in dirs:
+            r0, slope, curve = residual_expansion(p, z, d, spec)
+            assert r0 == 0.0 and slope == 0.0
+            t = 1e-3
+            rt = residual_value(p, p.split(z.to_z() + t * d), spec)
+            assert rt / t ** 2 == pytest.approx(curve, abs=1e-9)
+
+    def test_product_kind_has_no_calculus(self, lcp_param):
+        # y'w is a value only: each route to the growth expansion refuses it
+        spec = ResidualSpec("product", "l2", 0.5)
+        z = KktPoint([1.0], [0.5, 0.2], [0.0, 0.2])
+        d = np.ones(5)
+        for call in (lambda: landscape_from_problem(lcp_param, spec),
+                     lambda: residual_expansion(lcp_param, z, d, spec),
+                     lambda: penalized_dirderiv(lcp_param, z, d, 1.0, spec)):
+            with pytest.raises(ValueError, match=r"product residual y'w .* w >= 0"):
+                call()
+        # w = (0, 0.2) here, so y'w = 0.04
+        assert residual_value(lcp_param, z, spec) == pytest.approx(0.04)
 
     def test_power_slope_cases(self):
         assert power_slope(4.0, 2.0, 0.0, 0.5) == pytest.approx(0.5)
