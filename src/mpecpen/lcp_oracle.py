@@ -71,11 +71,14 @@ def _passes_checks(y: np.ndarray, w: np.ndarray) -> bool:
 
 
 def _solve_stack(subs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Row j solves subs[j] y = rhs[j]; rows of exactly singular
+    """Row j solves subs[j] y = rhs[j], where rhs[j] is a vector or, for
+    several right-hand sides at once, a matrix; rows of exactly singular
     submatrices are NaN.  A stack holding one is split in halves until the
     singular submatrices stand alone, so every other row still comes from
     the same LAPACK call it would get by itself."""
     try:
+        if rhs.ndim == subs.ndim:
+            return np.linalg.solve(subs, rhs)
         return np.linalg.solve(subs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         if len(subs) == 1:

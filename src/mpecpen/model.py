@@ -28,7 +28,7 @@ def _as_matrix(a, name: str, rows: int | None = None, cols: int | None = None) -
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionMismatch(f"{name} contains non-finite entries")
     if rows is not None and arr.shape[0] != rows:
         raise DimensionMismatch(f"{name} must have {rows} rows, got {arr.shape[0]}")
@@ -41,7 +41,7 @@ def _as_vector(a, name: str, size: int | None = None) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(a, dtype=float))
     if arr.ndim != 1:
         raise DimensionMismatch(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionMismatch(f"{name} contains non-finite entries")
     if size is not None and arr.size != size:
         raise DimensionMismatch(f"{name} must have length {size}, got {arr.size}")

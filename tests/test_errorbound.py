@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpecpen import (
+    DimensionMismatch,
     EmptyPolyhedron,
     LcpInstance,
     TooFewSamples,
@@ -19,6 +22,8 @@ from mpecpen.errorbound import (
     ray_divergence_test,
     sample_cloud,
 )
+from mpecpen import errorbound, lcp_oracle
+from mpecpen.lcp_oracle import _index_sets
 
 Q1_LCP = LcpInstance([[0.0, -1.0], [1.0, 0.0]], [-1.0, 2.0])
 
@@ -191,3 +196,219 @@ class TestHoffman:
     def test_empty_polyhedron_propagates(self):
         with pytest.raises(EmptyPolyhedron):
             hoffman_baseline([[1.0], [-1.0]], [-1.0, -1.0], [], [], [np.array([0.0])])
+
+
+class TestSystemValidation:
+    def test_misshaped_A_is_refused(self):
+        # A has 2 columns but x has 4 entries; reading A as one row
+        # [1, 0, 0, 1] would return a distance for the wrong system
+        with pytest.raises(DimensionMismatch):
+            project_polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [], [], [1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            polyhedron_residual([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [], [], [1.0, 1.0, 1.0, 1.0])
+
+    def test_nan_point_is_not_an_empty_polyhedron(self):
+        with pytest.raises(DimensionMismatch):
+            project_polyhedron([[1.0, 0.0]], [0.0], [], [], [math.nan, 0.0])
+        with pytest.raises(DimensionMismatch):
+            hoffman_baseline([[1.0, 0.0]], [0.0], [], [],
+                             [np.array([0.5, 0.5]), np.array([math.nan, 0.0])])
+
+    def test_short_right_hand_side(self):
+        with pytest.raises(DimensionMismatch):
+            project_polyhedron([[1.0, 0.0], [0.0, 1.0]], [0.0], [], [], [1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            project_polyhedron([[1.0, 0.0]], [0.0], [[0.0, 1.0]], [], [1.0, 1.0])
+
+    def test_no_rows_is_allowed(self):
+        z, d = project_polyhedron([], [], [], [], [0.3, -0.4])
+        assert np.array_equal(z, [0.3, -0.4]) and d == 0.0
+        assert polyhedron_residual(np.zeros((0, 2)), [], [[0.0, 1.0]], [1.0], [0.0, 3.0]) == 2.0
+
+
+# -- the screened projection against the per-set loop ----------------------
+
+def reference_project(A, a, B, b, x):
+    """The projection as it was before screening: one lstsq call per
+    active set."""
+    A = np.asarray(A, dtype=float).reshape(-1, np.asarray(x).size) if np.size(A) else np.zeros((0, np.size(x)))
+    B = np.asarray(B, dtype=float).reshape(-1, np.asarray(x).size) if np.size(B) else np.zeros((0, np.size(x)))
+    a = np.atleast_1d(np.asarray(a, dtype=float)) if np.size(a) else np.zeros(0)
+    b = np.atleast_1d(np.asarray(b, dtype=float)) if np.size(b) else np.zeros(0)
+    x = np.asarray(x, dtype=float)
+    dim = x.size
+    p = A.shape[0]
+    best_z = None
+    best_d = math.inf
+    for chunk in _index_sets(p):
+        for J in chunk:
+            rows = np.vstack([A[J], B]) if (J.size or B.shape[0]) else np.zeros((0, dim))
+            rhs = np.concatenate([a[J], b])
+            k = rows.shape[0]
+            kkt = np.zeros((dim + k, dim + k))
+            kkt[:dim, :dim] = np.eye(dim)
+            kkt[:dim, dim:] = rows.T
+            kkt[dim:, :dim] = rows
+            vec = np.concatenate([x, rhs])
+            try:
+                sol = np.linalg.lstsq(kkt, vec, rcond=None)[0]
+            except np.linalg.LinAlgError:
+                continue
+            z = sol[:dim]
+            if k and np.max(np.abs(rows @ z - rhs)) > 1e-9:
+                continue
+            if p and np.max(A @ z - a) > 1e-9:
+                continue
+            d = float(np.linalg.norm(z - x))
+            if d < best_d:
+                best_d, best_z = d, z
+    if best_z is None:
+        raise EmptyPolyhedron("no feasible candidate over all active sets")
+    return best_z, best_d
+
+
+def same_projection(A, a, B, b, x):
+    """Asserts that the projection agrees bit for bit with the per-set
+    loop, or that both certify emptiness, both with the default screen
+    and with every chunk screened; returns the projection, or None for
+    an empty polyhedron."""
+    try:
+        want_z, want_d = reference_project(A, a, B, b, x)
+    except EmptyPolyhedron:
+        want_z = None
+    for screen_min in (errorbound._SCREEN_MIN_SETS, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(errorbound, "_SCREEN_MIN_SETS", screen_min)
+            if want_z is None:
+                with pytest.raises(EmptyPolyhedron):
+                    project_polyhedron(A, a, B, b, x)
+                continue
+            z, d = project_polyhedron(A, a, B, b, x)
+        assert z.tobytes() == want_z.tobytes() and d == want_d, (screen_min, A, a, B, b, x)
+    return want_z
+
+
+def seeded_systems():
+    """Random systems in dimension 2-4 with up to 10 inequality rows, some
+    with equality rows, some with the origin inside and some empty."""
+    rng = np.random.default_rng(41)
+    for i in range(48):
+        dim = 2 + i % 3
+        p = int(rng.integers(1, 11)) if i else 10
+        q = int(rng.integers(0, dim)) if i % 3 == 0 else 0
+        A = rng.normal(size=(p, dim))
+        B = rng.normal(size=(q, dim))
+        z0 = rng.normal(size=dim)  # meets B z = b and, unless i % 4 == 3, A z <= a
+        a = A @ z0 + rng.random(p) - (1.0 if i % 4 == 3 else 0.0)
+        yield A, a, B, B @ z0, rng.normal(size=dim) * 3.0
+
+
+def degenerate_systems():
+    """Small-integer systems: equal and parallel rows, ties between active
+    sets and, every other system, more planes than the dimension through
+    a lattice point v that x projects onto (x - v lies in their normal
+    cone)."""
+    rng = np.random.default_rng(43)
+    for i in range(60):
+        dim = 2 + i % 2
+        p = int(rng.integers(dim + 1, 8))
+        A = rng.integers(-2, 3, size=(p, dim)).astype(float)
+        q = int(i % 5 == 0)
+        B = rng.integers(-1, 2, size=(q, dim)).astype(float)
+        if i % 2:
+            a = rng.integers(-2, 3, size=p).astype(float)
+            yield A, a, B, B.sum(axis=1), rng.integers(-6, 7, size=dim) / 2.0
+        else:
+            v = rng.integers(-2, 3, size=dim).astype(float)
+            a = A @ v + (np.arange(p) >= dim + 1)  # the first dim + 1 rows meet at v
+            yield A, a, B, B @ v, v + A[:dim + 1].T @ rng.integers(0, 3, size=dim + 1)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 2000, lcp_oracle._CHUNK_BYTES])
+def test_projection_matches_per_set_loop(chunk_bytes, monkeypatch):
+    monkeypatch.setattr(lcp_oracle, "_CHUNK_BYTES", chunk_bytes)
+    empty = sum(same_projection(*system) is None for system in seeded_systems())
+    assert 3 <= empty <= 18  # of 48
+    empty = vertices = 0
+    for A, a, B, b, x in degenerate_systems():
+        z = same_projection(A, a, B, b, x)
+        empty += z is None
+        # more planes than the dimension meet at the projection
+        vertices += z is not None and np.sum(np.abs(A @ z - a) <= 1e-9) > x.size
+    assert empty >= 5 and vertices >= 20
+
+
+def test_equality_rows_beyond_the_dimension():
+    rng = np.random.default_rng(47)
+    for _ in range(12):
+        A = rng.normal(size=(7, 3))
+        B = rng.normal(size=(2, 3))
+        z0 = rng.normal(size=3)  # feasible: every row holds at z0
+        same_projection(A, A @ z0 + rng.random(7), B, B @ z0, rng.normal(size=3) * 3.0)
+    # a third equality row fixes the point; a fourth inconsistent one empties the set
+    B = np.eye(3)
+    z = same_projection(np.ones((4, 3)), np.full(4, 5.0), B, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+    assert np.allclose(z, 1.0)
+    B4 = np.vstack([B, [[1.0, 1.0, 1.0]]])
+    assert same_projection(np.ones((4, 3)), np.full(4, 5.0), B4, [1.0, 1.0, 1.0, 4.0], [0.0, 0.0, 0.0]) is None
+
+
+def test_distance_tie_keeps_the_first_active_set():
+    # rows 2 and 5 are the same halfspace; sets {2} and {5} reach the
+    # same distance with different bits, and {2} comes first
+    A = [[-2.0, 2.0], [1.0, 0.0], [-1.0, -1.0], [-1.0, 0.0], [0.0, 2.0], [2.0, 2.0]]
+    a = [-1.0, 2.0, 0.0, 1.0, 1.0, 0.0]
+    x = [1.0, -1.5]
+    same_projection(A, a, [], [], x)
+    z, d = project_polyhedron(A, a, [], [], x)
+    assert z.tolist() == [1.2499999999999998, -1.25] and d == 0.3535533905932736
+
+
+def test_violation_on_either_side_of_the_tolerance():
+    # the candidate of the face {0} misses row 1 by 1e-9 + s; the
+    # screen must not decide the near cases, and lstsq decides them as
+    # the per-set loop did
+    rng = np.random.default_rng(53)
+    sides = set()
+    for _ in range(6):
+        n0, n1 = rng.normal(size=(2, 3))
+        x = rng.normal(size=3) * 2.0
+        a0 = float(n0 @ x) - 1.0
+        z0 = x - (n0 @ x - a0) / (n0 @ n0) * n0
+        for s in np.linspace(-2e-15, 2e-15, 21):
+            A = np.array([n0, n1])
+            a = np.array([a0, float(n1 @ z0) - 1e-9 - s])
+            same_projection(A, a, [], [], x)
+            _, d = project_polyhedron(A, a, [], [], x)
+            sides.add(d == reference_project(A[:1], a[:1], [], [], x)[1])
+    assert sides == {True, False}
+
+
+def test_nearly_concurrent_planes():
+    # dim + 1 planes that miss a common point by (dim + 1) * 1e-9 + s:
+    # the least-squares point of all of them passes the 1e-9 equality
+    # check only for s <= 0 up to rounding, and then it is nearer to x
+    # than the vertex of the first dim planes
+    rng = np.random.default_rng(59)
+    near = set()
+    for i in range(10):
+        dim = 2 + i % 2
+        N = rng.normal(size=(dim, dim))
+        v = rng.normal(size=dim)
+        x = v + N.T @ rng.random(dim) * 2.0  # projects onto the vertex v
+        A = np.vstack([N, N.sum(axis=0)])
+        for s in np.linspace(-3e-15, 3e-15, 7):
+            a = np.append(N @ v, (N @ v).sum() + (dim + 1) * 1e-9 + s)
+            z = same_projection(A, a, [], [], x)
+            near.add(bool(abs(A[-1] @ z - a[-1]) < 2e-9))
+    assert near == {True, False}
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.integers(1, 3), p=st.integers(0, 6), q=st.integers(0, 2),
+       ints=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_projection_property(dim, p, q, ints, seed):
+    rng = np.random.default_rng(seed)
+    draw = (lambda *shape: rng.integers(-2, 3, size=shape).astype(float)) if ints \
+        else (lambda *shape: rng.normal(size=shape))
+    same_projection(draw(p, dim), draw(p), draw(q, dim), draw(q), rng.normal(size=dim) * 2.0)
