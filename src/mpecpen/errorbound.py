@@ -126,12 +126,12 @@ def ray_divergence_test(lcp: LcpInstance, base, direction, t_values,
     t_values = [float(t) for t in t_values]
     if not t_values or any(b <= a for a, b in zip(t_values, t_values[1:])):
         raise ValueError("t_values must be nonempty and strictly increasing")
-    base = np.asarray(base, dtype=float)
-    direction = np.asarray(direction, dtype=float)
+    base = _as_vector(base, "base", size=lcp.order)
+    direction = _as_vector(direction, "direction", size=lcp.order)
     if solutions is None:
         sols = solve_lcp_enumerate(lcp)
     else:
-        pts = [np.asarray(p, dtype=float) for p in solutions]
+        pts = [_as_vector(p, "solution", size=lcp.order) for p in solutions]
         sols = SolutionSet(points=pts, empty_flag=not pts,
                            bases_explored=0, singular_bases=0)
     rows = []

@@ -11,7 +11,23 @@ variable, the lower variables are completed through the stationarity
 system restricted to the current activity pattern, which keeps the
 residual flat to first order and lets the search ride the manifold.
 Those completions depend only on the activity pattern, so a landscape
-solves them once per pattern and hands out the same read-only arrays.
+solves them once per pattern and hands out the same read-only array.
+
+Each accepted point gets one poll matrix D: the coordinate rows
++e_0, -e_0, +e_1, ... followed by the tangent rows.  A sweep forms every
+trial clip(z + step*D) at once; rows that the clip leaves equal to z are
+skipped free of charge, as before.  The others are walked in order and
+the first strict improvement is taken, so the iterates are those of a
+loop that evaluates one direction at a time.  For the squared-stationarity
+kkt residual the landscape also carries a ``RayScreen``: along z + s*d the
+objective and the residual are exact quadratics in s, and the screen
+turns their coefficients into rigorous lower bounds on the penalized
+value the landscape would compute at each trial.  A trial that the clip
+left unchanged (inside the box) and whose bound is at least the current
+value cannot be accepted; it is charged against the budget like an
+evaluated trial but not evaluated.  Clipped trials, and every trial of
+the other residuals, are evaluated.
+
 When the exponent is 1/2 and the iterate sits off the kink, a
 projected-gradient pass with backtracking refines the compass result;
 all phases only ever accept strict descent, so the penalized objective
@@ -31,7 +47,7 @@ and custom one-dimensional constructions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -135,8 +151,12 @@ class Landscape:
     sqrt_grad: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     #: maps a raw iterate to a KktPoint for reporting (default: all of it as x)
     as_point: Optional[Callable[[np.ndarray], KktPoint]] = None
-    #: extra poll directions that follow the feasible manifold, or None
-    tangent_polls: Optional[Callable[[np.ndarray], Sequence[np.ndarray]]] = None
+    #: extra poll directions that follow the feasible manifold, as a
+    #: read-only (k, dim) array, or None
+    tangent_polls: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    #: rigorous lower bounds on ``penalized`` at in-box compass trials from
+    #: z along the rows of a poll matrix, or None (see ``RayScreen``)
+    ray_screen: Optional[Callable[[np.ndarray, np.ndarray], res.RayScreen]] = None
 
     @property
     def dim(self) -> int:
@@ -154,7 +174,7 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
         sqrt_grad = kernel.sqrt_grad
 
     M, Q = problem.M, problem.qmap.Q
-    cache: dict[tuple[bytes, bytes], tuple[np.ndarray, ...]] = {}
+    cache: dict[tuple[bytes, bytes], np.ndarray] = {}
 
     def tangent_dirs(base, degen):
         # For a signed unit step dx in one upper coordinate, complete
@@ -192,9 +212,10 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
                     scale = float(np.max(np.abs(d)))
                     if scale > 1.0:
                         d /= scale
-                    d.flags.writeable = False
                     dirs.append(d)
-        return tuple(dirs)
+        rows = np.array(dirs).reshape(len(dirs), n + 2 * m)
+        rows.flags.writeable = False
+        return rows
 
     def tangent_polls(z):
         # the directions depend on z only through its activity pattern,
@@ -209,12 +230,23 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
             dirs = cache[key] = tangent_dirs(base, degen)
         return dirs
 
+    rows_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def ray_screen(z, polls):
+        # the row data depend only on the poll matrix, so once per pattern
+        key = polls.tobytes()
+        rows = rows_cache.get(key)
+        if rows is None:
+            rows = rows_cache[key] = kernel.ray_rows(polls)
+        return kernel.ray_screen(z, rows)
+
     return Landscape(lower=problem.z_lower, upper=problem.z_upper,
                      objective=kernel.objective, residual=kernel.residual,
                      expansion=kernel.expansion,
                      objective_slope=kernel.objective_slope,
                      sqrt_grad=sqrt_grad, as_point=problem.split,
-                     tangent_polls=tangent_polls)
+                     tangent_polls=tangent_polls,
+                     ray_screen=ray_screen if kernel.screens_rays() else None)
 
 
 def q5_toy_landscape() -> Landscape:
@@ -253,6 +285,16 @@ def q5_toy_landscape() -> Landscape:
 
 # -- inner solver ---------------------------------------------------------
 
+def _coordinate_polls(dim: int) -> np.ndarray:
+    # +e_0, -e_0, +e_1, ...; the negated rows keep their -0.0 entries,
+    # which decide the sign of a zero coordinate in z + step*d
+    eye = np.eye(dim)
+    rows = np.empty((2 * dim, dim))
+    rows[0::2] = eye
+    rows[1::2] = -eye
+    return rows
+
+
 def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
              budget: int, callback: Optional[Callable[[np.ndarray, float], None]] = None
              ) -> tuple[np.ndarray, float, int]:
@@ -263,30 +305,39 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
     evals = 0
     widths = land.upper - land.lower
     step = 0.25 * float(np.max(widths)) if np.max(widths) > 0 else 0.0
-    eye = np.eye(land.dim)
+    coords = _coordinate_polls(land.dim)
+    # the screen's bounds hold for a nonnegative weight and a positive power
+    ray_screen = land.ray_screen if alpha >= 0.0 and gamma > 0.0 else None
+    polls = None
     while step >= INNER_TOL and evals < budget:
-        polls: list[np.ndarray] = []
-        for j in range(land.dim):
-            polls.append(eye[j])
-            polls.append(-eye[j])
-        if land.tangent_polls is not None:
-            polls.extend(land.tangent_polls(z))
-        improved = False
-        for d in polls:
-            trial = np.clip(z + step * d, land.lower, land.upper)
-            if np.array_equal(trial, z):
-                continue
+        if polls is None:
+            # the poll matrix of the current z: built again only when z moves
+            polls = coords
+            if land.tangent_polls is not None:
+                polls = np.concatenate([coords, land.tangent_polls(z)])
+            screen = ray_screen(z, polls) if ray_screen is not None else None
+        raw = z + step * polls
+        trials = np.clip(raw, land.lower, land.upper)
+        moved = (trials != z).any(axis=1)
+        if screen is None:
+            screened = np.zeros_like(moved)
+        else:
+            # in-box trials that provably cannot improve on phi
+            screened = (trials == raw).all(axis=1) & (screen.floors(step, alpha, gamma) >= phi)
+        for i, skip in zip(np.flatnonzero(moved).tolist(), screened[moved].tolist()):
             if evals >= budget:
                 return z, phi, evals
-            phi_t = land.penalized(trial, alpha, gamma)
             evals += 1
+            if skip:
+                continue
+            phi_t = land.penalized(trials[i], alpha, gamma)
             if phi_t < phi:
-                z, phi = trial, phi_t
+                z, phi = trials[i].copy(), phi_t
                 if callback:
                     callback(z, phi)
-                improved = True
+                polls = None
                 break
-        if not improved:
+        else:
             step *= 0.5
     return z, phi, evals
 

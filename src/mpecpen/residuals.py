@@ -30,12 +30,19 @@ bound methods; the public point functions at the end of this module are
 validated wrappers that check their input and make one call into it.
 Whatever needs the growth expansion gets its kernel from
 ``penalty_kernel``, which refuses the product kind.
+
+For the squared-stationarity residual the kernel also screens compass
+polls: along z + s d both f and r are exact quadratics in s, and
+``RayScreen`` turns their coefficients, for every row of a poll matrix at
+once, into rigorous lower bounds on the penalized value the landscape
+would compute at each trial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -189,6 +196,104 @@ def _penalized_slope(objective_slope, expansion, z: np.ndarray, d: np.ndarray,
     return objective_slope(z, d) + alpha * pslope
 
 
+# -- the compass screen ----------------------------------------------------
+
+#: unit roundoff of IEEE double precision
+_U = 2.0 ** -53
+#: the screen is built only when the problem data and the box are at most
+#: this large in magnitude, which keeps overflow out and the absolute
+#: effect of gradual underflow below _UNDERFLOW / 4
+_SCREEN_DATA_MAX = 2.0 ** 100
+_UNDERFLOW = 2.0 ** -600
+#: relative error allowed for a computed power r**gamma, here and in
+#: ``Landscape.penalized``: libm's pow is within 1 ulp (2^-52), numpy's
+#: vector power within a few, and this leaves room for 2^11 ulps
+_POW_SLACK = 2.0 ** -40
+
+
+def _screen_margin(chain: int) -> float:
+    """The relative margin rho of ``RayScreen`` for computations in which
+    no term passes through more than ``chain`` roundings."""
+    return (3 * chain + 16) * _U
+
+
+class RayScreen:
+    """Lower bounds on the computed penalized value at compass trials.
+
+    Built by ``_Kernel.ray_screen`` at one point z for the rows d of one
+    poll matrix D, for the squared-stationarity residual.
+    ``floors(s, alpha, gamma)`` returns, for every row, a number L with
+    L <= fl(f(t) + alpha * max(r(t), 0)**gamma), the value that
+    ``Landscape.penalized`` computes at the trial t = fl(z + fl(s d)),
+    whenever t lies in the box (so the compass's clip leaves it alone),
+    for alpha >= 0 and gamma > 0.  A trial with L >= phi(z) cannot be a
+    strict improvement, and the compass charges it without evaluating it.
+
+    Derivation.  u = 2^-53, gamma_k = k u / (1 - k u), dim = n + 2m and
+    K = 5 dim + 16.  f is the quadratic 0.5 x'Ax + x'By + 0.5 y'Cy + a'x
+    + b'y + c, and r(z) = ||s(z)||^2 + lambda'y with s(z) = M y + Q x
+    + q0 - lambda.  Their absolute-value majorants are
+    f~(v) = 0.5 v_x'|A|v_x + v_x'|B|v_y + 0.5 v_y'|C|v_y + |a|'v_x
+    + |b|'v_y + |c| and r~(v) = ||sig(v)||^2 + v_l'v_y with
+    sig(v) = |M| v_y + |Q| v_x + |q0| + v_l.
+
+    1. Every quantity here (f and r as the kernel computes them at t,
+       and the coefficients below, in any summation order numpy and BLAS
+       pick) is a sum of products in which no term passes through more
+       than K roundings; the longest chains, r(z) and the slopes of r
+       (``ray_screen``), stay under 5 dim + 7.  So each computed value lies
+       within gamma_K of the exact one, times the same expression
+       evaluated on absolute values (Higham, *Accuracy and Stability of
+       Numerical Algorithms*, 2002, sec. 3.1 and eq. 3.5); for f and r
+       at t that expression is f~(|t|) and r~(|t|).
+    2. Let W = z + s d (exact) and v = |z| + s|d|.  The two roundings of
+       t give |t - W| <= 2.01 u v, so |t| <= (1 + 2.01 u) v.
+    3. On the ray, exactly, f(W) = f(z) + s g'd + s^2 q_f(d) with
+       g = grad f(z) and q_f the quadratic part of f, and
+       r(W) = r(z) + s (2 s(z)'s1 + lambda'd_y + y'd_l) + s^2 (||s1||^2
+       + d_l'd_y) with s1 = M d_y + Q d_x - d_l.  The majorants have the
+       same form: S_f(s) = f~(|z|) + s grad f~(|z|)'|d| + s^2 q~_f(|d|)
+       equals f~(v), and S_r(s) = r~(v) likewise.  The kernel computes
+       the three coefficients of all four quadratics.
+    4. |f(t) - f(W)| <= grad f~(v)'|t - W| + q~_f(|t - W|)
+       <= 4.03 u S_f(s), since v'grad f~(v) <= 2 f~(v); the same holds
+       for r, with v'grad r~(v) <= 2 r~(v).
+    5. Summing the computed value at t (1 and 2: gamma_K (1 + 4.03 u)),
+       the step from t to W (4), the coefficients (1: gamma_K) and the
+       four roundings of evaluating the quadratic at s gives
+       |f_c(t) - F| <= (2.03 K + 8.2) u S_f(s), where F is the computed
+       quadratic; likewise for r.  The computed majorant S~ (a sum of
+       nonnegative terms) satisfies S_f <= S~ (1 + gamma_{K+4}).
+    6. The floors are F_lo = fl(F - rho S~) - eta with
+       rho = ``_screen_margin(K)`` = (3K + 16) u and eta = 2^-600; the
+       last two roundings cost at most 3.1 u S~, so rho covers every term
+       of 5 with room to spare, and eta covers gradual underflow, which
+       with data and box entries at most 2^100 (``_SCREEN_DATA_MAX``)
+       adds less than K^2 2^-1075 2^400 < eta / 4.  So F_lo <= f_c(t),
+       and likewise R_lo <= r_c(t).
+    7. Power, weight and sum: with pow, sqrt and numpy's power each
+       within a relative 2^-41 (``_POW_SLACK``), monotonicity of x**gamma
+       gives P_lo = fl(fl(alpha pow(max(R_lo, 0))) (1 - 2^-40))
+       <= fl(alpha * max(r_c(t), 0)**gamma).  Rounded addition is
+       monotone, so L = fl(F_lo + P_lo) <= fl(f_c(t) + that power term),
+       which is the landscape's value at t.
+    """
+
+    __slots__ = ("coef", "drop")
+
+    def __init__(self, coef: np.ndarray, drop: np.ndarray):
+        #: (k, 4, 3): per row, the coefficients of 1, s, s^2 of f, r, f~, r~
+        self.coef = coef
+        #: (4, 2): maps (F, R, S~_f, S~_r) to (F - rho S~_f, R - rho S~_r)
+        self.drop = drop
+
+    def floors(self, step: float, alpha: float, gamma: float) -> np.ndarray:
+        lo = (self.coef @ (1.0, step, step * step)) @ self.drop - _UNDERFLOW
+        # numpy takes sqrt for gamma = 1/2 and a copy for gamma = 1
+        power = np.maximum(lo[:, 1], 0.0) ** gamma
+        return lo[:, 0] + (alpha * power) * (1.0 - _POW_SLACK)
+
+
 # -- the flat kernel -----------------------------------------------------
 
 class _Kernel:
@@ -201,6 +306,7 @@ class _Kernel:
         self.M, self.Q, self.q0 = problem.M, problem.qmap.Q, problem.qmap.q0
         self.f = problem.objective
         self.spec = spec or ResidualSpec()
+        self._box = problem.x_box, problem.multiplier_bound
 
     def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n, m = self.n, self.m
@@ -323,6 +429,105 @@ class _Kernel:
         grad_y = gy + scale * (2.0 * self.M.T @ s + lam)
         grad_l = scale * (-2.0 * s + y)
         return np.concatenate([grad_x, grad_y, grad_l])
+
+
+    # -- compass screen (squared-stationarity residual only) ----------------
+
+    def screens_rays(self) -> bool:
+        """Whether ``ray_screen`` applies: the squared-stationarity kkt
+        residual, on data and a box within ``_SCREEN_DATA_MAX``."""
+        if self.spec.kind != KIND_KKT or not self.spec.squared_stationarity:
+            return False
+        f, (x_box, cap) = self.f, self._box
+        parts = (self.M, self.Q, self.q0, f.xx, f.xy, f.yy, f.x_lin, f.y_lin, x_box,
+                 np.array([f.const, cap]))
+        return max(float(np.max(np.abs(p), initial=0.0)) for p in parts) <= _SCREEN_DATA_MAX
+
+    @cached_property
+    def _affine(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """L with L @ (z, |z|, 1) = (grad f(z), s(z), grad f~(|z|), sig(|z|)),
+        every gradient the screen takes as one affine map of z and |z|;
+        the linear parts (a, b) and (|a|, |b|) of f and f~; and the
+        ``RayScreen.drop`` matrix of this dimension."""
+        f, n, m = self.f, self.n, self.m
+        dim = n + 2 * m
+        A, C = np.abs(f.xx), np.abs(f.yy)
+        signed = (0.5 * (f.xx + f.xx.T), f.xy, 0.5 * (f.yy + f.yy.T), self.Q, self.M,
+                  -np.eye(m), f.x_lin, f.y_lin, self.q0)
+        absolute = (0.5 * (A + A.T), np.abs(f.xy), 0.5 * (C + C.T), np.abs(self.Q),
+                    np.abs(self.M), np.eye(m), np.abs(f.x_lin), np.abs(f.y_lin),
+                    np.abs(self.q0))
+        L = np.zeros((2 * dim, 2 * dim + 1))
+        # the signed blocks act on z, the absolute ones on |z|
+        for o, (hx, bxy, hy, Q, M, lam, a, b, q0) in ((0, signed), (dim, absolute)):
+            x, y, s, end = o, o + n, o + n + m, o + dim  # blocks of x, y, lambda
+            L[x:y, x:y], L[x:y, y:s], L[x:y, -1] = hx, bxy, a
+            L[y:s, x:y], L[y:s, y:s], L[y:s, -1] = bxy.T, hy, b
+            L[s:end, x:y], L[s:end, y:s], L[s:end, s:end], L[s:end, -1] = Q, M, lam, q0
+        lin = np.concatenate([f.x_lin, f.y_lin])
+        rho = _screen_margin(5 * dim + 16)
+        drop = np.array([[1.0, 0.0], [0.0, 1.0], [-rho, 0.0], [0.0, -rho]])
+        return L, (lin, np.abs(lin)), drop
+
+    def ray_rows(self, polls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """What ``ray_screen`` needs of a poll matrix D (k x dim), computed
+        once per matrix: T (4k x (2 dim + 1)) with T @ (z, |z|, 1) the
+        slopes of f, r, f~ and r~ along every row, and the (k, 4)
+        curvatures.  Uses S1 = D_y M' + D_x Q' - D_l, the rates of s, and
+        Sig1 = |D_y||M|' + |D_x||Q|' + |D_l|, those of sig."""
+        f, n, m, L = self.f, self.n, self.m, self._affine[0]
+        dim = n + 2 * m
+        dx, dy, dl = polls[:, :n], polls[:, n:n + m], polls[:, n + m:]
+        absd = np.abs(polls)
+        ax, ay, al = absd[:, :n], absd[:, n:n + m], absd[:, n + m:]
+        absM, absQ = np.abs(self.M), np.abs(self.Q)
+        s1 = dy @ self.M.T + dx @ self.Q.T - dl
+        sig1 = ay @ absM.T + ax @ absQ.T + al
+        # slope of f: d'grad f; of r: 2 s1's + dy'lambda + dl'y; the
+        # majorants take |d|, sig1 and |z| in their place
+        t_f = polls[:, :n + m] @ L[:n + m]
+        t_r = 2.0 * s1 @ L[n + m:dim]
+        t_r[:, n + m:dim] += dy
+        t_r[:, n:n + m] += dl
+        t_fa = absd[:, :n + m] @ L[dim:dim + n + m]
+        t_ra = 2.0 * sig1 @ L[dim + n + m:]
+        t_ra[:, dim + n + m:2 * dim] += ay
+        t_ra[:, dim + n:dim + n + m] += al
+
+        def quad(A, B, C, vx, vy):
+            # rowwise 0.5 vx'A vx + vx'B vy + 0.5 vy'C vy
+            return (0.5 * ((vx @ A.T) * vx).sum(axis=1) + ((vy @ B.T) * vx).sum(axis=1)
+                    + 0.5 * ((vy @ C.T) * vy).sum(axis=1))
+
+        curves = np.stack([
+            quad(f.xx, f.xy, f.yy, dx, dy),
+            (s1 * s1).sum(axis=1) + (dl * dy).sum(axis=1),
+            quad(np.abs(f.xx), np.abs(f.xy), np.abs(f.yy), ax, ay),
+            (sig1 * sig1).sum(axis=1) + (al * ay).sum(axis=1),
+        ], axis=1)
+        return np.concatenate([t_f, t_r, t_fa, t_ra]), curves
+
+    def ray_screen(self, z: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> RayScreen:
+        """The screen at z of the poll matrix behind ``rows`` (from
+        ``ray_rows``): f, r, f~ and r~ at z from one product with the
+        affine map, and their slopes along every row from one more."""
+        f, n, m = self.f, self.n, self.m
+        dim = n + 2 * m
+        L, lin, drop = self._affine
+        w = np.concatenate([z, np.abs(z), (1.0,)])
+        g = L @ w
+        s, sig = g[n + m:dim], g[dim + n + m:]
+        # f(z) = 0.5 (grad f(z) + linear part)'(x, y) + c, and so for f~
+        rates, curves = rows
+        coef = np.empty((curves.shape[0], 4, 3))
+        coef[:, 0, 0] = 0.5 * float((g[:n + m] + lin[0]) @ z[:n + m]) + f.const
+        coef[:, 1, 0] = float(s @ s + z[n + m:] @ z[n:n + m])
+        coef[:, 2, 0] = 0.5 * float((g[dim:dim + n + m] + lin[1]) @ w[dim:dim + n + m]) \
+            + abs(f.const)
+        coef[:, 3, 0] = float(sig @ sig + w[dim + n + m:2 * dim] @ w[dim + n:dim + n + m])
+        coef[:, :, 1] = (rates @ w).reshape(4, -1).T
+        coef[:, :, 2] = curves
+        return RayScreen(coef, drop)
 
 
 def penalty_kernel(problem: MpecProblem, spec: ResidualSpec) -> _Kernel:

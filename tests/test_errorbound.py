@@ -117,6 +117,20 @@ class TestRayDivergence:
         assert not rep.refuted
         assert all(row.residual == 0.0 for row in rep.rows)
 
+    def test_short_direction_rejected(self):
+        # a 1-entry direction was once broadcast along (1, 1)
+        with pytest.raises(DimensionMismatch, match="direction"):
+            ray_divergence_test(LcpInstance(np.eye(2), [-1, -1]), [0, 0], [1.0], [1, 10])
+
+    def test_mis_sized_base_and_solutions_rejected(self):
+        with pytest.raises(DimensionMismatch, match="base"):
+            ray_divergence_test(Q1_LCP, [0.0, 1.0, 2.0], [1.0, 0.0], [1.0])
+        with pytest.raises(DimensionMismatch, match="solution"):
+            ray_divergence_test(Q1_LCP, [0.0, 1.0], [1.0, 0.0], [1.0],
+                                solutions=[[1.0, 1.0], [2.0]])
+        with pytest.raises(DimensionMismatch, match="base"):
+            ray_divergence_test(Q1_LCP, [0.0, math.nan], [1.0, 0.0], [1.0])
+
     def test_bad_t_values(self):
         with pytest.raises(ValueError):
             ray_divergence_test(Q1_LCP, [0.0, 1.0], [1.0, 0.0], [])

@@ -1,7 +1,14 @@
+import importlib.util
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpecpen import model
+from mpecpen import model, residuals
 from mpecpen import (
     AffineParamMap,
     DimensionMismatch,
@@ -10,13 +17,18 @@ from mpecpen import (
     ResidualSpec,
     build_lcp_mpec,
     parametric_solution_path,
+    parse_problem_file,
     penalized_objective,
+    problem_from_dict,
 )
 from mpecpen.penalty_solver import (
     CLASS_FEASIBLE,
     CLASS_INFEASIBLE,
     CLASS_LIMIT,
+    INNER_TOL,
     PenaltyConfig,
+    _compass,
+    _coordinate_polls,
     check_stationarity,
     default_start,
     inner_minimize,
@@ -30,6 +42,8 @@ from mpecpen.penalty_solver import (
 SQ = ResidualSpec("kkt", "l2", 0.5, squared_stationarity=True)
 SQ1 = ResidualSpec("kkt", "l2", 1.0, squared_stationarity=True)
 ORIGIN = KktPoint([0.0], [0.0], [0.0])
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 
 
 class TestConfig:
@@ -252,3 +266,196 @@ class TestDefaultStart:
         assert lcp_param.x_box[0, 0] <= z.x[0] <= lcp_param.x_box[0, 1]
         F = lcp_param.F(z.x, z.y)
         assert np.allclose(z.lam, np.clip(F, 0.0, lcp_param.multiplier_bound))
+
+
+# -- differential test of the compass sweep ---------------------------------
+
+def _load_bench_instances():
+    # the benchmark's seeded instance generator, a plain-data module
+    path = ROOT / "bench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+instances = _load_bench_instances()
+SCREEN_MARGIN = residuals._screen_margin
+
+
+def reference_compass(land, alpha, gamma, z0, budget, callback=None):
+    """The compass loop as it was before the poll matrix and the screen:
+    one trial vector, clip and evaluation per poll direction."""
+    z = np.clip(z0, land.lower, land.upper)
+    phi = land.penalized(z, alpha, gamma)
+    if callback:
+        callback(z, phi)
+    evals = 0
+    widths = land.upper - land.lower
+    step = 0.25 * float(np.max(widths)) if np.max(widths) > 0 else 0.0
+    eye = np.eye(land.dim)
+    while step >= INNER_TOL and evals < budget:
+        polls: list[np.ndarray] = []
+        for j in range(land.dim):
+            polls.append(eye[j])
+            polls.append(-eye[j])
+        if land.tangent_polls is not None:
+            polls.extend(land.tangent_polls(z))
+        improved = False
+        for d in polls:
+            trial = np.clip(z + step * d, land.lower, land.upper)
+            if np.array_equal(trial, z):
+                continue
+            if evals >= budget:
+                return z, phi, evals
+            phi_t = land.penalized(trial, alpha, gamma)
+            evals += 1
+            if phi_t < phi:
+                z, phi = trial, phi_t
+                if callback:
+                    callback(z, phi)
+                improved = True
+                break
+        if not improved:
+            step *= 0.5
+    return z, phi, evals
+
+
+def _bits(z, phi):
+    return z.tobytes(), float(phi).hex()
+
+
+def compass_runs(land, alpha, gamma, z0, budget):
+    """(z, phi, evals) and the callback sequence of both loops, as bits,
+    and the number of trials the screened loop charged but did not
+    evaluate."""
+    out = []
+    evaluated = [0]
+    objective = land.objective
+
+    def counting(z):
+        evaluated[0] += 1
+        return objective(z)
+
+    for compass, lnd in ((reference_compass, land),
+                         (_compass, replace(land, objective=counting))):
+        seen = []
+        z, phi, evals = compass(lnd, alpha, gamma, np.array(z0, dtype=float), budget,
+                                lambda z, p: seen.append(_bits(z, p)))
+        out.append((_bits(z, phi), evals, seen))
+    # the screened loop evaluates the start and every unscreened trial
+    return out[0], out[1], out[1][1] + 1 - evaluated[0]
+
+
+def _setting_landscape(problem, kind, norm, squared, gamma):
+    return landscape_from_problem(problem, ResidualSpec(kind, norm, gamma, squared))
+
+
+def differential_cases():
+    """(landscape, alpha, gamma, start, budget): the fixtures at several
+    weights, the q5 toy, and one generated instance per residual setting
+    of the benchmark's solve mix, each from the benchmark's start."""
+    cases = []
+    for name in ("lcp-param", "bilevel", "addq1"):
+        problem = parse_problem_file(FIXTURES / f"{name}.mpec")
+        land = landscape_from_problem(problem, SQ)
+        for alpha in (1.0, 10.0, 1000.0):
+            cases.append((land, alpha, 0.5, default_start(problem).to_z(), 2000))
+    toy = q5_toy_landscape()
+    cases += [(toy, 2.0, 1.0, np.array([3.0]), 500), (toy, 1.0, 0.5, np.array([0.1]), 500)]
+    rng = np.random.default_rng(2024)
+    for i, (kind, norm, squared, gamma, extra) in enumerate(instances.RESIDUAL_SETTINGS):
+        n, m = 1 + i % 2, 2 + i % 4
+        if i % 3 == 2:
+            doc = instances.generic_mpec(rng, n, m)["doc"]
+        else:
+            doc = instances.planted_mpec(rng, n, m, degenerate=i % 3 == 1)["doc"]
+        land = _setting_landscape(problem_from_dict(doc), kind, norm, squared, gamma)
+        for alpha in (1.0, 100.0):
+            cases.append((land, alpha, gamma, np.array(instances._start(rng, doc)),
+                          extra["max_inner"]))
+    return cases
+
+
+def assert_same_sweeps(cases):
+    screened = 0
+    for land, alpha, gamma, z0, budget in cases:
+        ref, got, skipped = compass_runs(land, alpha, gamma, z0, budget)
+        assert got == ref
+        screened += skipped
+    return screened
+
+
+class TestCompassSweep:
+    def test_matches_reference_loop(self):
+        # every iterate, callback value and charged trial keeps its bits,
+        # while the screen leaves a large share of trials unevaluated
+        assert assert_same_sweeps(differential_cases()) > 1000
+
+    def test_screen_only_on_squared_kkt(self, lcp_param):
+        assert landscape_from_problem(lcp_param, SQ).ray_screen is not None
+        assert landscape_from_problem(lcp_param, SQ1).ray_screen is not None
+        for spec in (ResidualSpec("min", "l2", 1.0), ResidualSpec("min", "l1", 1.0),
+                     ResidualSpec("kkt", "l2", 0.5), ResidualSpec("kkt", "l1", 1.0)):
+            assert landscape_from_problem(lcp_param, spec).ray_screen is None
+        assert q5_toy_landscape().ray_screen is None
+
+    def test_screen_off_for_huge_data(self):
+        doc = json.loads((FIXTURES / "lcp-param.mpec").read_text())
+        doc["objective"]["const"] = 2.0 ** 101
+        assert landscape_from_problem(problem_from_dict(doc), SQ).ray_screen is None
+
+    @pytest.mark.parametrize("margin", [lambda chain: 0.0,
+                                        lambda chain: -SCREEN_MARGIN(chain)],
+                             ids=["margin-0", "margin-flipped"])
+    def test_catches_an_unsafe_margin(self, margin, monkeypatch):
+        # without the rounding margin, the screen skips trials whose
+        # computed value falls below phi by rounding alone, and the
+        # iterates part from the reference loop
+        monkeypatch.setattr(residuals, "_screen_margin", margin)
+        with pytest.raises(AssertionError):
+            assert_same_sweeps(differential_cases())
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_screened_trials_are_charged(self, lcp_param, degenerate):
+        if degenerate:
+            doc = instances.planted_mpec(np.random.default_rng(5), 2, 3, degenerate=True)["doc"]
+            problem = problem_from_dict(doc)
+        else:
+            problem = lcp_param
+        land = landscape_from_problem(problem, SQ)
+        z0 = default_start(problem).to_z()
+        screened = 0
+        for budget in range(41):
+            for alpha in (1.0, 10.0):
+                ref, got, skipped = compass_runs(land, alpha, 0.5, z0, budget)
+                assert got == ref
+                assert got[1] == budget
+                screened += skipped
+        assert screened > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2), m=st.integers(2, 5),
+           family=st.sampled_from(["planted", "degenerate", "generic"]),
+           setting=st.sampled_from(instances.RESIDUAL_SETTINGS),
+           alpha=st.sampled_from([1.0, 10.0, 1e4]))
+    def test_matches_reference_on_random_mpecs(self, seed, n, m, family, setting, alpha):
+        rng = np.random.default_rng(seed)
+        if family == "generic":
+            doc = instances.generic_mpec(rng, n, m)["doc"]
+        else:
+            doc = instances.planted_mpec(rng, n, m, degenerate=family == "degenerate")["doc"]
+        kind, norm, squared, gamma, _ = setting
+        land = _setting_landscape(problem_from_dict(doc), kind, norm, squared, gamma)
+        z0 = np.array(instances._start(rng, doc))
+        assert_same_sweeps([(land, alpha, gamma, z0, 400)])
+        if land.ray_screen is not None:
+            # the floors themselves: never above the value the landscape
+            # computes at an in-box trial
+            polls = np.concatenate([_coordinate_polls(land.dim), land.tangent_polls(z0)])
+            screen = land.ray_screen(z0, polls)
+            for step in (0.5, 1e-3, 1e-7):
+                raw = z0 + step * polls
+                floors = screen.floors(step, alpha, gamma)
+                for i in np.flatnonzero(np.all((raw >= land.lower) & (raw <= land.upper), axis=1)):
+                    assert floors[i] <= land.penalized(raw[i], alpha, gamma)
