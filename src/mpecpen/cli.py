@@ -117,7 +117,7 @@ def _cmd_solve(args) -> int:
     doc = read_problem_doc(args.problem)
     if args.gamma is None:
         gamma = doc.get("gamma")
-        if gamma is not None and not isinstance(gamma, (int, float)):
+        if gamma is not None and type(gamma) not in (int, float):
             raise SchemaError(f"{args.problem}: gamma must be a number, got {gamma!r}")
         args.gamma = 0.5 if gamma is None else float(gamma)
     config = _config_from_args(args)

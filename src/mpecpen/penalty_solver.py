@@ -1,17 +1,18 @@
 """Penalty continuation over a compact box.
 
-The inner solver is projected compass search with step halving: scan the
-signed coordinate directions in fixed order, take the first strict
-improvement, halve the step when a full sweep fails.  That handles the
-kinks of fractional-power penalties.  Coordinate polling alone provably
-stalls on the feasible manifold (there, every single-coordinate move
-raises the penalty faster than it lowers the objective), so the poll set
-is augmented with tangent completions: for each signed step in an upper
-variable, the lower variables are completed through the stationarity
-system restricted to the current activity pattern, which keeps the
-residual flat to first order and lets the search ride the manifold.
-Those completions depend only on the activity pattern, so a landscape
-solves them once per pattern and hands out the same read-only array.
+The inner solver is projected compass search with step halving, and no
+solve evaluates a gradient: scan the signed coordinate directions in
+fixed order, take the first strict improvement, halve the step when a
+full sweep fails.  That handles the kinks of fractional-power penalties.
+Coordinate polling alone provably stalls on the feasible manifold
+(there, every single-coordinate move raises the penalty faster than it
+lowers the objective), so the poll set is augmented with tangent
+completions: for each signed step in an upper variable, the lower
+variables are completed through the stationarity system restricted to
+the current activity pattern, which keeps the residual flat to first
+order and lets the search ride the manifold.  Those completions depend
+only on the activity pattern, so a landscape solves them once per
+pattern and hands out the same read-only array.
 
 Each accepted point gets one poll matrix D: the coordinate rows
 +e_0, -e_0, +e_1, ... followed by the tangent rows.  A sweep forms every
@@ -26,12 +27,8 @@ value the landscape would compute at each trial.  A trial that the clip
 left unchanged (inside the box) and whose bound is at least the current
 value cannot be accepted; it is charged against the budget like an
 evaluated trial but not evaluated.  Clipped trials, and every trial of
-the other residuals, are evaluated.
-
-When the exponent is 1/2 and the iterate sits off the kink, a
-projected-gradient pass with backtracking refines the compass result;
-all phases only ever accept strict descent, so the penalized objective
-is non-increasing along the iterates.
+the other residuals, are evaluated.  Only strict descent is accepted, so
+the penalized objective is non-increasing along the iterates.
 
 The outer loop raises the penalty parameter geometrically until either
 the residual meets the feasibility tolerance (a feasible minimizer), or
@@ -51,10 +48,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AtKink
 from .model import KktPoint, MpecProblem, _as_vector, warm_point
 from . import residuals as res
-from .residuals import KINK_TOLERANCE, ResidualSpec
+from .residuals import ResidualSpec
 
 CLASS_FEASIBLE = "FeasibleMinimizer"
 CLASS_INFEASIBLE = "InfeasiblePenaltyStationary"
@@ -85,6 +81,9 @@ class PenaltyConfig:
     alpha_fixed: bool = False
 
     def __post_init__(self):
+        for name in ("alpha0", "growth", "eps_feas", "eps_stat"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha0 <= 0:
             raise ValueError("alpha0 must be positive")
         if self.growth <= 1 and not self.alpha_fixed:
@@ -147,7 +146,7 @@ class Landscape:
     expansion: Callable[[np.ndarray, np.ndarray], tuple[float, float, float]]
     #: directional derivative of the smooth objective part
     objective_slope: Callable[[np.ndarray, np.ndarray], float]
-    #: gradient of objective + alpha*sqrt(residual), None when unavailable
+    #: never set by the solver; only bench/spans.py reads it
     sqrt_grad: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     #: maps a raw iterate to a KktPoint for reporting (default: all of it as x)
     as_point: Optional[Callable[[np.ndarray], KktPoint]] = None
@@ -169,10 +168,6 @@ class Landscape:
 def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscape:
     n, m = problem.n, problem.m
     kernel = res.penalty_kernel(problem, spec)
-    sqrt_grad = None
-    if spec.kind == res.KIND_KKT and spec.squared_stationarity:
-        sqrt_grad = kernel.sqrt_grad
-
     M, Q = problem.M, problem.qmap.Q
     cache: dict[tuple[bytes, bytes], np.ndarray] = {}
 
@@ -244,7 +239,7 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
                      objective=kernel.objective, residual=kernel.residual,
                      expansion=kernel.expansion,
                      objective_slope=kernel.objective_slope,
-                     sqrt_grad=sqrt_grad, as_point=problem.split,
+                     as_point=problem.split,
                      tangent_polls=tangent_polls,
                      ray_screen=ray_screen if kernel.screens_rays() else None)
 
@@ -342,58 +337,6 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
     return z, phi, evals
 
 
-def _gradient_refine(land: Landscape, alpha: float, z: np.ndarray, phi: float,
-                     budget: int, callback: Optional[Callable[[np.ndarray, float], None]] = None
-                     ) -> tuple[np.ndarray, float, int]:
-    # projected gradient with backtracking on objective + alpha*sqrt(r);
-    # bails out as soon as the iterate reaches the kink region
-    evals = 0
-    step = 1.0
-    for _ in range(200):
-        if evals >= budget:
-            break
-        try:
-            g = land.sqrt_grad(z, alpha)
-        except AtKink:
-            break
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-14:
-            break
-        accepted = False
-        while step >= 1e-16 and evals < budget:
-            trial = np.clip(z - step * g, land.lower, land.upper)
-            phi_t = land.penalized(trial, alpha, 0.5)
-            evals += 1
-            if phi_t < phi - 1e-16:
-                z, phi = trial, phi_t
-                if callback:
-                    callback(z, phi)
-                accepted = True
-                step *= 2.0
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        if step * gnorm < INNER_TOL:
-            break
-    return z, phi, evals
-
-
-def minimize_landscape(land: Landscape, alpha: float, gamma: float,
-                       z0: np.ndarray, budget: int, callback=None) -> np.ndarray:
-    z, phi, used = _compass(land, alpha, gamma, z0, budget, callback)
-    if gamma == 0.5 and land.sqrt_grad is not None and budget > used:
-        if land.residual(z) > KINK_TOLERANCE:
-            z, phi, used2 = _gradient_refine(land, alpha, z, phi,
-                                             budget - used, callback)
-            # compass polish after the smooth pass, in case the gradient
-            # walked into a kinked valley
-            if budget > used + used2:
-                z, phi, _ = _compass(land, alpha, gamma, z, budget - used - used2,
-                                     callback)
-    return z
-
-
 def inner_minimize(problem: MpecProblem, alpha: float, spec: ResidualSpec,
                    z0: KktPoint, budget: int, callback=None) -> KktPoint:
     """Approximately minimize f + alpha*r^gamma over the box from z0.
@@ -403,7 +346,7 @@ def inner_minimize(problem: MpecProblem, alpha: float, spec: ResidualSpec,
     """
     z0.check_dims(problem)
     land = landscape_from_problem(problem, spec)
-    z = minimize_landscape(land, alpha, spec.gamma, z0.to_z(), budget, callback)
+    z, _, _ = _compass(land, alpha, spec.gamma, z0.to_z(), budget, callback)
     return problem.split(z)
 
 
@@ -461,7 +404,7 @@ def run_continuation(land: Landscape, config: PenaltyConfig,
     classification = CLASS_LIMIT
     prev_r = None
     for _ in range(config.max_outer):
-        z = minimize_landscape(land, alpha, gamma, z, config.max_inner)
+        z, _, _ = _compass(land, alpha, gamma, z, config.max_inner)
         r = land.residual(z)
         alphas.append(alpha)
         rs.append(r)

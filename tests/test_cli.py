@@ -37,9 +37,11 @@ class TestSolve:
         res = run_cli("solve", str(bad))
         assert res.returncode == 1
 
-    def test_non_numeric_file_gamma_exit_one(self, tmp_path):
+    @pytest.mark.parametrize("gamma", ["[1.0]", "true", '"0.5"'],
+                             ids=["list", "bool", "string"])
+    def test_non_numeric_file_gamma_exit_one(self, tmp_path, gamma):
         bad = tmp_path / "toy.mpec"
-        bad.write_text('{"toy": "q5-infeasible", "gamma": [1.0]}')
+        bad.write_text('{"toy": "q5-infeasible", "gamma": %s}' % gamma)
         res = run_cli("solve", str(bad))
         assert res.returncode == 1
         assert res.stderr.startswith("error: ") and "gamma" in res.stderr
@@ -207,6 +209,9 @@ class TestFlagValidation:
         ("solve", "fixtures/lcp-param.mpec", "--max-outer", "0"),
         ("solve", "fixtures/lcp-param.mpec", "--max-inner", "-5"),
         ("solve", "fixtures/lcp-param.mpec", "--residual", "product"),
+        ("solve", "fixtures/lcp-param.mpec", "--growth", "nan"),
+        ("solve", "fixtures/lcp-param.mpec", "--alpha0", "nan"),
+        ("solve", "fixtures/lcp-param.mpec", "--alpha-fixed", "inf"),
     ])
     def test_bad_input_is_one_error_line(self, args):
         res = run_cli(*args)

@@ -58,6 +58,13 @@ class TestConfig:
             PenaltyConfig(max_outer=0)
         with pytest.raises(ValueError, match="max_inner"):
             PenaltyConfig(max_inner=-5)
+        # NaN passes every ordering test, so finiteness is checked first
+        for name in ("alpha0", "growth", "eps_feas", "eps_stat"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    PenaltyConfig(**{name: bad})
+        with pytest.raises(ValueError, match="alpha0 must be finite"):
+            PenaltyConfig(alpha0=float("inf"), alpha_fixed=True)
         PenaltyConfig(growth=1.0, alpha_fixed=True)  # growth unused when fixed
         PenaltyConfig(max_outer=1, max_inner=0)
 
@@ -238,6 +245,18 @@ class TestContinuation:
                 rep = run_continuation(land, cfg, start)
                 assert rep.classification == CLASS_FEASIBLE
                 assert abs(rep.final_objective) <= 1e-3
+
+    def test_no_solve_reaches_the_gradient(self, lcp_param, bilevel, monkeypatch):
+        # projected compass search is the whole inner solver: the penalty
+        # gradient is public API, but no solve may evaluate it
+        def unreachable(self, z, alpha):
+            raise AssertionError("the solver evaluated the penalty gradient")
+
+        monkeypatch.setattr(residuals._Kernel, "sqrt_grad", unreachable)
+        cfg = PenaltyConfig(gamma=0.5)
+        for start in random_starts(bilevel, 4, seed=3):
+            penalty_continuation(bilevel, cfg, bilevel.split(start))
+        penalty_continuation(lcp_param, cfg)
 
     def test_validation_only_at_boundary(self, lcp_param, monkeypatch):
         # input is validated when the solve starts and when the final
