@@ -11,6 +11,7 @@ line on stderr and exit code 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -180,7 +181,7 @@ def _cmd_probe(args) -> int:
     print("id\tresidual\tdistance")
     for i, (r, d) in enumerate(rows):
         print(f"{i}\t{r!r}\t{d!r}")
-    _emit({"fixture": args.fixture, **est.to_dict(),
+    _emit({"fixture": args.fixture, **dataclasses.asdict(est),
            "flags": ["DEGENERATE"] if est.degenerate else []})
     return 0
 

@@ -46,17 +46,6 @@ class ErrorBoundEstimate:
     fit_residual: float
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma_hat": self.gamma_hat,
-            "tau_hat": self.tau_hat,
-            "tau_max": self.tau_max,
-            "sample_count": self.sample_count,
-            "r_range": list(self.r_range),
-            "fit_residual": self.fit_residual,
-            "degenerate": self.degenerate,
-        }
-
 
 def sample_cloud(lcp: LcpInstance | None, box, count: int, seed: int = 0) -> list[np.ndarray]:
     """Uniform points in a bounded box, deterministic per seed."""

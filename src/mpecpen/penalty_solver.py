@@ -34,7 +34,10 @@ The outer loop raises the penalty parameter geometrically until either
 the residual meets the feasibility tolerance (a feasible minimizer), or
 the residual stagnates at a point that is first-order stationary for the
 penalized problem (an infeasible penalty-local minimizer, which exact
-penalties do admit), or the round budget runs out.
+penalties do admit), or the round budget runs out.  The poll matrix also
+defines that certificate: the stationarity measure is the steepest
+one-sided descent of the penalized objective along its box-feasible rows,
+so a point is certified only when no direction the search polls descends.
 
 Everything runs on a small landscape interface (objective, residual,
 growth expansion, box), so the same loop drives both LCP-MPEC problems
@@ -290,6 +293,13 @@ def _coordinate_polls(dim: int) -> np.ndarray:
     return rows
 
 
+def _polls(land: Landscape, z: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The poll matrix at z: the coordinate rows, then the tangent rows."""
+    if land.tangent_polls is None:
+        return coords
+    return np.concatenate([coords, land.tangent_polls(z)])
+
+
 def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
              budget: int, callback: Optional[Callable[[np.ndarray, float], None]] = None
              ) -> tuple[np.ndarray, float, int]:
@@ -301,16 +311,12 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
     widths = land.upper - land.lower
     step = 0.25 * float(np.max(widths)) if np.max(widths) > 0 else 0.0
     coords = _coordinate_polls(land.dim)
-    # the screen's bounds hold for a nonnegative weight and a positive power
-    ray_screen = land.ray_screen if alpha >= 0.0 and gamma > 0.0 else None
     polls = None
     while step >= INNER_TOL and evals < budget:
         if polls is None:
             # the poll matrix of the current z: built again only when z moves
-            polls = coords
-            if land.tangent_polls is not None:
-                polls = np.concatenate([coords, land.tangent_polls(z)])
-            screen = ray_screen(z, polls) if ray_screen is not None else None
+            polls = _polls(land, z, coords)
+            screen = land.ray_screen(z, polls) if land.ray_screen is not None else None
         raw = z + step * polls
         trials = np.clip(raw, land.lower, land.upper)
         moved = (trials != z).any(axis=1)
@@ -344,6 +350,7 @@ def inner_minimize(problem: MpecProblem, alpha: float, spec: ResidualSpec,
     Always returns the best point found; with a zero budget that is z0
     projected onto the box.
     """
+    res._check_alpha(alpha)
     z0.check_dims(problem)
     land = landscape_from_problem(problem, spec)
     z, _, _ = _compass(land, alpha, spec.gamma, z0.to_z(), budget, callback)
@@ -354,29 +361,22 @@ def inner_minimize(problem: MpecProblem, alpha: float, spec: ResidualSpec,
 
 def stationarity_measure(land: Landscape, z: np.ndarray, alpha: float,
                          gamma: float) -> float:
-    """Most negative box-feasible signed-coordinate directional derivative
-    of the penalized objective, clamped at zero."""
-    worst = 0.0
-    d = np.zeros(land.dim)
-    for j in range(land.dim):
-        for sign in (1.0, -1.0):
-            if sign > 0 and z[j] >= land.upper[j]:
-                continue
-            if sign < 0 and z[j] <= land.lower[j]:
-                continue
-            d[j] = sign
-            ddi = res._penalized_slope(land.objective_slope, land.expansion, z, d,
-                                       alpha, gamma)
-            d[j] = 0.0
-            if ddi < worst:
-                worst = ddi
+    """Most negative directional derivative of the penalized objective
+    along the rows of the compass's poll matrix at z, clamped at zero.
+    Rows that leave the box at a face z sits on are skipped."""
+    polls = _polls(land, z, _coordinate_polls(land.dim))
+    leaves = ((polls > 0.0) & (z >= land.upper)) | ((polls < 0.0) & (z <= land.lower))
+    worst = min([0.0] + [res._penalized_slope(land.objective_slope, land.expansion, z, d,
+                                              alpha, gamma)
+                         for d in polls[~leaves.any(axis=1)]])
     return -worst if worst < 0.0 else 0.0
 
 
 def check_stationarity(problem: MpecProblem, z: KktPoint, alpha: float,
                        spec: ResidualSpec) -> float:
-    """Coordinatewise first-order stationarity of f + alpha*r^gamma at z;
-    zero means no signed coordinate direction descends."""
+    """First-order stationarity of f + alpha*r^gamma at z over the
+    solver's poll set; zero means no poll direction descends."""
+    res._check_alpha(alpha)
     z.check_dims(problem)
     land = landscape_from_problem(problem, spec)
     return stationarity_measure(land, z.to_z(), alpha, spec.gamma)
@@ -404,12 +404,12 @@ def run_continuation(land: Landscape, config: PenaltyConfig,
     classification = CLASS_LIMIT
     prev_r = None
     for _ in range(config.max_outer):
-        z, _, _ = _compass(land, alpha, gamma, z, config.max_inner)
+        z, phi, _ = _compass(land, alpha, gamma, z, config.max_inner)
         r = land.residual(z)
         alphas.append(alpha)
         rs.append(r)
         fs.append(land.objective(z))
-        phis.append(land.penalized(z, alpha, gamma))
+        phis.append(phi)
         if r <= config.eps_feas:
             classification = CLASS_FEASIBLE
             break

@@ -543,6 +543,12 @@ def penalty_kernel(problem: MpecProblem, spec: ResidualSpec) -> _Kernel:
 
 # -- validated public functions -------------------------------------------
 
+def _check_alpha(alpha: float) -> None:
+    """The penalty weight every public entry point takes: finite and >= 0."""
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and nonnegative")
+
+
 def _checked_direction(problem: MpecProblem, z: KktPoint, d) -> np.ndarray:
     z.check_dims(problem)
     d = np.asarray(d, dtype=float)
@@ -582,8 +588,7 @@ def residual_value(problem: MpecProblem, z: KktPoint, spec: ResidualSpec) -> flo
 def penalized_objective(problem: MpecProblem, z: KktPoint, alpha: float,
                         spec: ResidualSpec) -> float:
     """f(x, y) + alpha * max(r(z), 0)^gamma with r selected by ``spec.kind``."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    _check_alpha(alpha)
     z.check_dims(problem)
     kernel, zf = _Kernel(problem, spec), z.to_z()
     r = max(kernel.residual(zf), 0.0)
@@ -601,6 +606,7 @@ def residual_expansion(problem: MpecProblem, z: KktPoint, d: np.ndarray,
 def penalized_dirderiv(problem: MpecProblem, z: KktPoint, d: np.ndarray,
                        alpha: float, spec: ResidualSpec) -> float:
     """One-sided directional derivative of f + alpha * r^gamma along d."""
+    _check_alpha(alpha)
     d = _checked_direction(problem, z, d)
     kernel = penalty_kernel(problem, spec)
     return _penalized_slope(kernel.objective_slope, kernel.expansion, z.to_z(), d,
@@ -611,5 +617,6 @@ def grad_penalized_sqrt(problem: MpecProblem, z: KktPoint, alpha: float) -> np.n
     """Gradient of f + alpha * sqrt(r) for the squared-stationarity kkt
     residual; see ``_Kernel.sqrt_grad``.  Raises AtKink at or below the
     kink tolerance."""
+    _check_alpha(alpha)
     z.check_dims(problem)
     return _Kernel(problem).sqrt_grad(z.to_z(), alpha)

@@ -29,6 +29,7 @@ from mpecpen.penalty_solver import (
     PenaltyConfig,
     _compass,
     _coordinate_polls,
+    _polls,
     check_stationarity,
     default_start,
     inner_minimize,
@@ -37,6 +38,7 @@ from mpecpen.penalty_solver import (
     q5_toy_landscape,
     random_starts,
     run_continuation,
+    stationarity_measure,
 )
 
 SQ = ResidualSpec("kkt", "l2", 0.5, squared_stationarity=True)
@@ -131,6 +133,52 @@ class TestStationarity:
         # and a non-stationary interior point reports the descent rate
         z2 = KktPoint([1.5], [0.5, 0.5], [1.0, 1.0])
         assert check_stationarity(p, z2, 0.0, SQ) == pytest.approx(1.0)
+
+    def test_tangent_poll_descent_is_not_certified(self, lcp_param):
+        # a feasible point with f = 2.25 (the optimum is 0.75): every signed
+        # coordinate direction is flat or ascends, but the tangent poll
+        # d = (-1, -0.5, -1, 0, 0) keeps the residual flat to second order
+        # and lowers f at rate 3
+        z = KktPoint([1.5], [0.75, 0.5], [0.0, 0.0])
+        for alpha in (1.0, 2.0, 10.0):
+            assert check_stationarity(lcp_param, z, alpha, SQ) == 3.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_measure_covers_the_coordinate_measure(self, seed):
+        # the poll set contains the signed coordinates, so the measure is
+        # never below the coordinate-only one; some coordinates sit on a
+        # face of the box, where the rows leaving it are skipped
+        rng = np.random.default_rng(seed)
+        for i, (kind, norm, squared, gamma, _) in enumerate(instances.RESIDUAL_SETTINGS):
+            doc = _generated_doc(rng, i)
+            land = _setting_landscape(problem_from_dict(doc), kind, norm, squared, gamma)
+            coords_only = replace(land, tangent_polls=None)
+            for _ in range(5):
+                z = land.lower + rng.random(land.dim) * (land.upper - land.lower)
+                face = rng.random(land.dim)
+                z = np.where(face < 0.2, land.lower, np.where(face > 0.9, land.upper, z))
+                for alpha in (0.0, 1.0, 100.0):
+                    full = stationarity_measure(land, z, alpha, gamma)
+                    assert full >= stationarity_measure(coords_only, z, alpha, gamma)
+
+
+BAD_ALPHA_CALLS = {
+    "check_stationarity": lambda p, z, a: check_stationarity(p, z, a, SQ),
+    "inner_minimize": lambda p, z, a: inner_minimize(p, a, SQ, z, budget=100),
+    "penalized_objective": lambda p, z, a: penalized_objective(p, z, a, SQ),
+    "penalized_dirderiv": lambda p, z, a: residuals.penalized_dirderiv(
+        p, z, np.ones(p.n + 2 * p.m), a, SQ),
+    "grad_penalized_sqrt": lambda p, z, a: residuals.grad_penalized_sqrt(p, z, a),
+}
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "-1"])
+@pytest.mark.parametrize("call", sorted(BAD_ALPHA_CALLS))
+def test_bad_alpha_rejected(lcp_param, call, alpha):
+    # NaN passes an ``alpha < 0`` test, so finiteness is checked too;
+    # unchecked, each of these gives a wrong answer rather than an error
+    with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+        BAD_ALPHA_CALLS[call](lcp_param, default_start(lcp_param), alpha)
 
 
 class TestTangentPolls:
@@ -370,6 +418,14 @@ def _setting_landscape(problem, kind, norm, squared, gamma):
     return landscape_from_problem(problem, ResidualSpec(kind, norm, gamma, squared))
 
 
+def _generated_doc(rng, i):
+    """A generated instance of the benchmark; its size and family vary with i."""
+    n, m = 1 + i % 2, 2 + i % 4
+    if i % 3 == 2:
+        return instances.generic_mpec(rng, n, m)["doc"]
+    return instances.planted_mpec(rng, n, m, degenerate=i % 3 == 1)["doc"]
+
+
 def differential_cases():
     """(landscape, alpha, gamma, start, budget): the fixtures at several
     weights, the q5 toy, and one generated instance per residual setting
@@ -384,11 +440,7 @@ def differential_cases():
     cases += [(toy, 2.0, 1.0, np.array([3.0]), 500), (toy, 1.0, 0.5, np.array([0.1]), 500)]
     rng = np.random.default_rng(2024)
     for i, (kind, norm, squared, gamma, extra) in enumerate(instances.RESIDUAL_SETTINGS):
-        n, m = 1 + i % 2, 2 + i % 4
-        if i % 3 == 2:
-            doc = instances.generic_mpec(rng, n, m)["doc"]
-        else:
-            doc = instances.planted_mpec(rng, n, m, degenerate=i % 3 == 1)["doc"]
+        doc = _generated_doc(rng, i)
         land = _setting_landscape(problem_from_dict(doc), kind, norm, squared, gamma)
         for alpha in (1.0, 100.0):
             cases.append((land, alpha, gamma, np.array(instances._start(rng, doc)),
@@ -471,7 +523,7 @@ class TestCompassSweep:
         if land.ray_screen is not None:
             # the floors themselves: never above the value the landscape
             # computes at an in-box trial
-            polls = np.concatenate([_coordinate_polls(land.dim), land.tangent_polls(z0)])
+            polls = _polls(land, z0, _coordinate_polls(land.dim))
             screen = land.ray_screen(z0, polls)
             for step in (0.5, 1e-3, 1e-7):
                 raw = z0 + step * polls
