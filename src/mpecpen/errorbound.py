@@ -30,6 +30,7 @@ from .lcp_oracle import (SolutionSet, _index_sets, _solve_stack, distance_to_sol
                          solve_lcp_enumerate)
 from .model import LcpInstance, _as_matrix, _as_vector
 from .residuals import min_residual
+from .rounding import U, gamma
 
 #: Samples with residual below this are excluded from log-log fits;
 #: their logarithms are numerically meaningless.
@@ -162,16 +163,6 @@ _CHECK_TOL = 1e-9
 #: that of about five lstsq confirmations (300 us against 60 us per set
 #: for dim 2-3 on a 2-vCPU x86 host).
 _SCREEN_MIN_SETS = 6
-
-#: Unit roundoff of float64.
-_U = np.finfo(float).eps / 2
-
-
-def _gamma(m: int) -> float:
-    """Higham's gamma_m = m u / (1 - m u): the relative error bound of a
-    sum of m rounded terms, so of a length-m dot product."""
-    return m * _U / (1.0 - m * _U)
-
 
 def _system_rows(M, v, names: tuple[str, str], dim: int) -> tuple[np.ndarray, np.ndarray]:
     M, v = np.asarray(M, dtype=float), np.asarray(v, dtype=float)
@@ -315,7 +306,7 @@ def _screen(A, a, B, b, x, idx):
     rhs = np.concatenate([a[idx], np.broadcast_to(b, (n, b.size))], axis=1)
     Rt, absR = R.transpose(0, 2, 1), np.abs(R)
     absRt = absR.transpose(0, 2, 1)
-    g = _gamma((dim + k + 2) ** 2)
+    g = gamma((dim + k + 2) ** 2)
     norm_R = _norm(R, axis=(-2, -1)) * (1 + g)
     with np.errstate(all="ignore"):
         if k > dim:
@@ -348,13 +339,13 @@ def _screen(A, a, B, b, x, idx):
                + _matvec(G_err, np.abs(y)) + g * (_matvec(absR, np.abs(x)) + np.abs(rhs)))
         delta_s = (_norm(rho) / sig + _norm(e_z)) * (1 + g) ** 2
         N = dim + k
-        eps_b = _gamma(16 * N * N)
+        eps_b = gamma(16 * N * N)
         k_norm = (1 + np.sqrt(1 + 4 * norm_R ** 2)) / 2 * (1 + g)
         k_inv = (1 + g) / np.minimum(1.0, 2 * sig ** 2 / (1 + np.sqrt(1 + 4 * sig ** 2)))
         kappa = k_norm * k_inv
         delta_l = 4 * eps_b * kappa * k_inv * np.sqrt(x @ x + _norm(rhs) ** 2) * (1 + g) ** 2
         delta = (delta_s + delta_l) * (1 + g)
-        ok = (sig > 0) & np.isfinite(delta) & (kappa * (eps_b + 2 * N * 2 * _U) <= 0.5)
+        ok = (sig > 0) & np.isfinite(delta) & (kappa * (eps_b + 2 * N * 2 * U) <= 0.5)
         row_l1 = np.sum(np.abs(A), axis=1)
         margin = ((1 + g) * delta[:, None] * row_l1
                   + 2 * g * (np.abs(z) @ np.abs(A).T + np.abs(a))) * (1 + g)

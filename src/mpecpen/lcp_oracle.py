@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptySolutionSet, NonUniqueSolution, TooLarge
 from .model import AffineParamMap, LcpInstance, _as_vector
+from .rounding import U
 
 FEAS_TOL = 1e-10
 DEDUP_TOL = 1e-9
@@ -99,7 +100,9 @@ def _screen_chunk(M: np.ndarray, q: np.ndarray, idx: np.ndarray):
     matrix-vector call per basis as an unstacked one.  The candidate mask
     is a superset: w = M y + q comes from one matrix product for the whole
     chunk, and ``slack`` bounds how far its rounding can stray from the
-    per-basis product that ``_passes_checks`` is given.
+    per-basis product that ``_passes_checks`` is given: each of the two
+    lies within gamma_{m+1} (|M||y| + |q|) of the exact w (see
+    ``rounding``), and 2 gamma_{m+1} <= 4 (m + 1) u, half the slack.
     """
     n, m = len(idx), q.size
     subs = _principal_submatrices(M, idx)
@@ -110,7 +113,7 @@ def _screen_chunk(M: np.ndarray, q: np.ndarray, idx: np.ndarray):
     with np.errstate(all="ignore"):
         residual = np.max(np.abs((subs @ y_i[..., None])[..., 0] + q_i), axis=1, initial=0.0)
         w = Y @ M.T + q
-        slack = 4 * (m + 1) * np.finfo(float).eps * (np.abs(Y) @ np.abs(M).T + np.abs(q))
+        slack = 8 * (m + 1) * U * (np.abs(Y) @ np.abs(M).T + np.abs(q))
         singular = (~np.all(np.isfinite(y_i), axis=1)
                     | (residual > 1e-8 * np.max(np.abs(q_i), axis=1, initial=1.0)))
         maybe = (~singular & np.all(y_i >= -FEAS_TOL, axis=1)

@@ -19,16 +19,18 @@ Each accepted point gets one poll matrix D: the coordinate rows
 trial clip(z + step*D) at once; rows that the clip leaves equal to z are
 skipped free of charge, as before.  The others are walked in order and
 the first strict improvement is taken, so the iterates are those of a
-loop that evaluates one direction at a time.  For the squared-stationarity
-kkt residual the landscape also carries a ``RayScreen``: along z + s*d the
-objective and the residual are exact quadratics in s, and the screen
-turns their coefficients into rigorous lower bounds on the penalized
-value the landscape would compute at each trial.  A trial that the clip
-left unchanged (inside the box) and whose bound is at least the current
-value cannot be accepted; it is charged against the budget like an
-evaluated trial but not evaluated.  Clipped trials, and every trial of
-the other residuals, are evaluated.  Only strict descent is accepted, so
-the penalized objective is non-increasing along the iterates.
+loop that evaluates one direction at a time.  The landscape of an MPEC
+also carries a screen, which gives rigorous lower bounds on the
+penalized value the landscape would compute at the trials of a sweep.
+For the squared-stationarity kkt residual it is a ``RayScreen``: along
+z + s*d the objective and the residual are exact quadratics in s, and it
+bounds the trials that the clip left unchanged (inside the box) from
+their coefficients.  For the ``min`` and norm kkt residuals it is a
+``TrialFloor``, which bounds every trial from one batched evaluation.  A
+trial whose bound is at least the current value cannot be accepted; it
+is charged against the budget like an evaluated trial but not evaluated.
+Every other trial is evaluated.  Only strict descent is accepted, so the
+penalized objective is non-increasing along the iterates.
 
 The outer loop raises the penalty parameter geometrically until either
 the residual meets the feasibility tolerance (a feasible minimizer), or
@@ -156,9 +158,11 @@ class Landscape:
     #: extra poll directions that follow the feasible manifold, as a
     #: read-only (k, dim) array, or None
     tangent_polls: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    #: rigorous lower bounds on ``penalized`` at in-box compass trials from
-    #: z along the rows of a poll matrix, or None (see ``RayScreen``)
-    ray_screen: Optional[Callable[[np.ndarray, np.ndarray], res.RayScreen]] = None
+    #: the screen of the compass sweeps from z along the rows of a poll
+    #: matrix, whose ``floors`` bound ``penalized`` at their trials from
+    #: below (see ``RayScreen`` and ``TrialFloor``), or None
+    screen: Optional[Callable[[np.ndarray, np.ndarray],
+                              res.RayScreen | res.TrialFloor]] = None
 
     @property
     def dim(self) -> int:
@@ -238,13 +242,21 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
             rows = rows_cache[key] = kernel.ray_rows(polls)
         return kernel.ray_screen(z, rows)
 
+    def trial_floor(z, polls):
+        # one floor for every z: it reads the trials themselves
+        return kernel.trial_floor
+
+    screen = None
+    if kernel.screens():
+        squared = spec.kind == res.KIND_KKT and spec.squared_stationarity
+        screen = ray_screen if squared else trial_floor
     return Landscape(lower=problem.z_lower, upper=problem.z_upper,
                      objective=kernel.objective, residual=kernel.residual,
                      expansion=kernel.expansion,
                      objective_slope=kernel.objective_slope,
                      as_point=problem.split,
                      tangent_polls=tangent_polls,
-                     ray_screen=ray_screen if kernel.screens_rays() else None)
+                     screen=screen)
 
 
 def q5_toy_landscape() -> Landscape:
@@ -316,15 +328,15 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
         if polls is None:
             # the poll matrix of the current z: built again only when z moves
             polls = _polls(land, z, coords)
-            screen = land.ray_screen(z, polls) if land.ray_screen is not None else None
+            screen = land.screen(z, polls) if land.screen is not None else None
         raw = z + step * polls
         trials = np.clip(raw, land.lower, land.upper)
         moved = (trials != z).any(axis=1)
         if screen is None:
             screened = np.zeros_like(moved)
         else:
-            # in-box trials that provably cannot improve on phi
-            screened = (trials == raw).all(axis=1) & (screen.floors(step, alpha, gamma) >= phi)
+            # trials that provably cannot improve on phi
+            screened = screen.floors(step, raw, trials, alpha, gamma) >= phi
         for i, skip in zip(np.flatnonzero(moved).tolist(), screened[moved].tolist()):
             if evals >= budget:
                 return z, phi, evals
@@ -421,7 +433,9 @@ def run_continuation(land: Landscape, config: PenaltyConfig,
         prev_r = r
         if not config.alpha_fixed:
             alpha *= config.growth
-    stat = stationarity_measure(land, z, alphas[-1], gamma)
+    if classification != CLASS_INFEASIBLE:
+        # the certificate's measure was taken at this (z, alpha) already
+        stat = stationarity_measure(land, z, alphas[-1], gamma)
     spec = config.effective_spec()
     point = land.as_point(z) if land.as_point else KktPoint(z, np.zeros(0), np.zeros(0))
     return SolveReport(final_point=point, alpha_history=alphas,

@@ -31,11 +31,13 @@ validated wrappers that check their input and make one call into it.
 Whatever needs the growth expansion gets its kernel from
 ``penalty_kernel``, which refuses the product kind.
 
-For the squared-stationarity residual the kernel also screens compass
-polls: along z + s d both f and r are exact quadratics in s, and
-``RayScreen`` turns their coefficients, for every row of a poll matrix at
-once, into rigorous lower bounds on the penalized value the landscape
-would compute at each trial.
+The kernel also screens compass trials: each screen gives, for every
+trial of a sweep at once, a rigorous lower bound on the penalized value
+the landscape would compute there.  For the squared-stationarity
+residual, f and r are exact quadratics in s along z + s d, and
+``RayScreen`` bounds them from their coefficients at the in-box trials.
+For the ``min`` and norm kkt residuals, ``TrialFloor`` evaluates f, r and
+their absolute-value majorants at every trial in one batched pass.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
+from . import rounding
 from .errors import AtKink, DimensionMismatch
 from .model import KktPoint, MpecProblem
 
@@ -196,15 +200,16 @@ def _penalized_slope(objective_slope, expansion, z: np.ndarray, d: np.ndarray,
     return objective_slope(z, d) + alpha * pslope
 
 
-# -- the compass screen ----------------------------------------------------
+# -- the compass screens ---------------------------------------------------
 
-#: unit roundoff of IEEE double precision
-_U = 2.0 ** -53
-#: the screen is built only when the problem data and the box are at most
-#: this large in magnitude, which keeps overflow out and the absolute
-#: effect of gradual underflow below _UNDERFLOW / 4
+#: the screens are built only when the problem data and the box are at
+#: most this large in magnitude, which keeps overflow out and bounds the
+#: absolute effect of gradual underflow
 _SCREEN_DATA_MAX = 2.0 ** 100
+#: the underflow allowances eta of ``RayScreen`` and of ``TrialFloor``,
+#: whose l2 norms take the square root of an underflow error
 _UNDERFLOW = 2.0 ** -600
+_SQRT_UNDERFLOW = 2.0 ** -500
 #: relative error allowed for a computed power r**gamma, here and in
 #: ``Landscape.penalized``: libm's pow is within 1 ulp (2^-52), numpy's
 #: vector power within a few, and this leaves room for 2^11 ulps
@@ -214,22 +219,35 @@ _POW_SLACK = 2.0 ** -40
 def _screen_margin(chain: int) -> float:
     """The relative margin rho of ``RayScreen`` for computations in which
     no term passes through more than ``chain`` roundings."""
-    return (3 * chain + 16) * _U
+    return (3 * chain + 16) * rounding.U
+
+
+def _floor_margin(chain: int) -> float:
+    """The relative margin rho of ``TrialFloor``, likewise."""
+    return 3.0 * rounding.gamma(chain)
+
+
+def _weighted(f_lo: np.ndarray, r_lo: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
+    # step 7 of ``RayScreen``: floors of f and r to a floor of the
+    # penalized value; numpy takes sqrt for gamma = 1/2 and a copy for 1
+    power = np.maximum(r_lo, 0.0) ** gamma
+    return f_lo + (alpha * power) * (1.0 - _POW_SLACK)
 
 
 class RayScreen:
-    """Lower bounds on the computed penalized value at compass trials.
+    """Lower bounds on the computed penalized value at in-box compass trials.
 
     Built by ``_Kernel.ray_screen`` at one point z for the rows d of one
     poll matrix D, for the squared-stationarity residual.
-    ``floors(s, alpha, gamma)`` returns, for every row, a number L with
-    L <= fl(f(t) + alpha * max(r(t), 0)**gamma), the value that
-    ``Landscape.penalized`` computes at the trial t = fl(z + fl(s d)),
-    whenever t lies in the box (so the compass's clip leaves it alone),
-    for alpha >= 0 and gamma > 0.  A trial with L >= phi(z) cannot be a
+    ``floors(s, raw, trials, alpha, gamma)`` returns, for every row, a
+    number L with L <= fl(f(t) + alpha * max(r(t), 0)**gamma), the value
+    that ``Landscape.penalized`` computes at the trial t = fl(z + fl(s d)),
+    whenever t lies in the box (so the compass's clip leaves it alone:
+    ``trials`` equals ``raw`` there), for alpha >= 0 and gamma > 0, and
+    -inf at the clipped rows.  A trial with L >= phi(z) cannot be a
     strict improvement, and the compass charges it without evaluating it.
 
-    Derivation.  u = 2^-53, gamma_k = k u / (1 - k u), dim = n + 2m and
+    Derivation.  u and gamma_k are as in ``rounding``, dim = n + 2m and
     K = 5 dim + 16.  f is the quadratic 0.5 x'Ax + x'By + 0.5 y'Cy + a'x
     + b'y + c, and r(z) = ||s(z)||^2 + lambda'y with s(z) = M y + Q x
     + q0 - lambda.  Their absolute-value majorants are
@@ -243,9 +261,8 @@ class RayScreen:
        than K roundings; the longest chains, r(z) and the slopes of r
        (``ray_screen``), stay under 5 dim + 7.  So each computed value lies
        within gamma_K of the exact one, times the same expression
-       evaluated on absolute values (Higham, *Accuracy and Stability of
-       Numerical Algorithms*, 2002, sec. 3.1 and eq. 3.5); for f and r
-       at t that expression is f~(|t|) and r~(|t|).
+       evaluated on absolute values; for f and r at t that expression is
+       f~(|t|) and r~(|t|).
     2. Let W = z + s d (exact) and v = |z| + s|d|.  The two roundings of
        t give |t - W| <= 2.01 u v, so |t| <= (1 + 2.01 u) v.
     3. On the ray, exactly, f(W) = f(z) + s g'd + s^2 q_f(d) with
@@ -287,11 +304,127 @@ class RayScreen:
         #: (4, 2): maps (F, R, S~_f, S~_r) to (F - rho S~_f, R - rho S~_r)
         self.drop = drop
 
-    def floors(self, step: float, alpha: float, gamma: float) -> np.ndarray:
+    def floors(self, step: float, raw: np.ndarray, trials: np.ndarray,
+               alpha: float, gamma: float) -> np.ndarray:
         lo = (self.coef @ (1.0, step, step * step)) @ self.drop - _UNDERFLOW
-        # numpy takes sqrt for gamma = 1/2 and a copy for gamma = 1
-        power = np.maximum(lo[:, 1], 0.0) ** gamma
-        return lo[:, 0] + (alpha * power) * (1.0 - _POW_SLACK)
+        # only a trial that the clip left alone lies on its ray
+        return np.where((trials == raw).all(axis=1),
+                        _weighted(lo[:, 0], lo[:, 1], alpha, gamma), -np.inf)
+
+
+class TrialFloor:
+    """Lower bounds on the computed penalized value at any compass trial,
+    for the ``min`` and norm kkt residuals.
+
+    Built once per kernel by ``_Kernel.trial_floor``.
+    ``floors(s, raw, trials, alpha, gamma)`` reads only the (k, dim)
+    trials t of a sweep, clipped or not, and returns for every row a
+    number L <= fl(f(t) + alpha * max(r(t), 0)**gamma), the value that
+    ``Landscape.penalized`` computes at t, for alpha >= 0 and gamma > 0.
+    Since the bound is taken at t itself, no step from t to the ray is
+    needed.
+
+    Derivation.  u, gamma_k, dim, K = 5 dim + 16, f and f~ are as in
+    ``RayScreen``.  For a point t = (x, y, lambda) let
+    sig = |M||y| + |Q||x| + |q0| and take as the majorant of r
+    r~ = sum_i (sig_i + |y_i|) for ``min`` and
+    r~ = sum_i (sig_i + |y_i| + 2 |lambda_i| + |lambda_i y_i|) for norm kkt.
+
+    1. The landscape (``QuadObjective.value``) and the batch both
+       evaluate f at t as a sum of products in which no term passes
+       through more than K roundings (the batch's longest chain, a
+       product with (t, |t|, 1) and then a sum over 2 dim products, has
+       fewer than 4 dim + 4), so each lies within gamma_K f~(|t|) of f(t).
+       The batch writes f = 0.5 sum_i v_i (H v + 2a)_i + c with
+       v = (x, y), H = [[A, B], [B', C]] and a = (a_x, a_y), whose
+       absolute-value form is f~ again.
+    2. Each computed w_i = (M y + Q x + q0)_i, or s_i = w_i - lambda_i,
+       lies within gamma_{2 dim + 2} sig_i, or gamma_{2 dim + 2} (sig_i
+       + |lambda_i|), of its exact value.  min(y_i, .), |.| and max(., 0)
+       are exact and 1-Lipschitz, so these errors carry through to the
+       components v_i that are summed, and |min(y_i, w_i)| <= |y_i|
+       + |w_i|.  The l1 sum adds a relative gamma_m; the l2 norm,
+       sqrt(sum v_i^2), lies within gamma_{m+1} of ||v_c||, and
+       | ||v_c|| - ||v|| | <= ||v_c - v||_1; the sums of |lambda_i y_i|,
+       [-y]_+ and [-lambda]_+ and the three final additions add a
+       relative gamma_{m+4}.  Every sum of absolute values here is at
+       most (1 + gamma_{2 dim + 2}) r~(|t|), so, with gamma_a + gamma_b
+       + gamma_a gamma_b <= gamma_{a+b}, each computed r lies within
+       gamma_{3 dim + 8} r~(|t|) <= gamma_K r~(|t|) of r(t).  The batch
+       leaves out the norm kkt violation sums, nonnegative terms that
+       vanish in the box; that only lowers its value R.
+    3. So F - f_c(t) <= 2 gamma_K f~(|t|), where F is the batch's f and
+       f_c the landscape's, and R - r_c(t) <= 2 gamma_K r~(|t|).  The
+       computed majorants S~, sums of nonnegative terms, are at least
+       (1 - gamma_K) times the exact ones, so with rho = 3 gamma_K
+       (``_floor_margin(K)``) and K u < 1/8, fl(rho S~_f) >= 2 gamma_K
+       f~(|t|).  Rounding is monotone and f_c(t) is a floating-point
+       number, so fl(F - fl(rho S~_f)) <= f_c(t), and so is the fused
+       fl(F - rho S~_f) that the product with ``drop`` may compute;
+       likewise for r.
+    4. eta = 2^-500 covers gradual underflow.  With data and box entries
+       at most 2^100 (``_SCREEN_DATA_MAX``) and dim < 2^30, the underflows
+       of the products add less than dim^2 2^-970 to f, r and S~, and
+       those of the squares in an l2 norm, at most m 2^-1075 under its
+       square root, add less than 2^-520; so F_lo = fl(F - rho S~_f) - eta
+       <= f_c(t) and R_lo <= r_c(t).
+    5. Step 7 of ``RayScreen`` then gives L <= the landscape's value.
+    """
+
+    __slots__ = ("n", "m", "natural", "l1", "map", "sums", "const", "drop", "_rows")
+
+    def __init__(self, kernel: "_Kernel", rho: float):
+        f, n, m, ab = kernel.f, kernel.n, kernel.m, kernel._abs
+        dim = n + 2 * m
+        p, x, y, lam = n + m, slice(0, n), slice(n, n + m), slice(n + m, dim)
+        self.n, self.m = n, m
+        self.natural = kernel.spec.kind == KIND_MIN
+        self.l1 = kernel.spec.norm == NORM_L1
+        H = np.block([[f.xx, f.xy], [f.xy.T, f.yy]])
+        absH = np.block([[ab.xx, ab.xy], [ab.xy.T, ab.yy]])
+        lin = np.concatenate([f.x_lin, f.y_lin])
+        #: (t, |t|, 1) @ map = (H v + 2a, 0, |H||v| + 2|a|, 0, w or s,
+        #: r~ less its products |lambda_i y_i|)
+        self.map = np.zeros((2 * dim + 1, 2 * dim + m + 1))
+        self.map[:p, :p], self.map[dim:dim + p, dim:dim + p] = H.T, absH.T
+        self.map[x, 2 * dim:-1], self.map[y, 2 * dim:-1] = kernel.Q.T, kernel.M.T
+        if not self.natural:
+            self.map[lam, 2 * dim:-1] = -np.eye(m)
+        self.map[dim:-1, -1] = np.concatenate([ab.Q.sum(axis=0), ab.M.sum(axis=0) + 1.0,
+                                               np.full(m, 0.0 if self.natural else 2.0)])
+        self.map[-1] = np.concatenate([2.0 * lin, np.zeros(m), 2.0 * np.abs(lin), np.zeros(m),
+                                       kernel.q0, (ab.q0.sum(),)])
+        #: P @ sums + const = (f, 0, f~, 0) for the products P of (t, |t|)
+        #: with the first two blocks
+        self.sums = np.zeros((2 * dim, 4))
+        self.sums[:dim, 0] = self.sums[dim:, 2] = 0.5
+        self.const = np.array([f.const, 0.0, abs(f.const), 0.0])
+        self.drop = np.array([[1.0, 0.0], [0.0, 1.0], [-rho, 0.0], [0.0, -rho]])
+        #: (t, |t|, 1) work arrays by row count
+        self._rows: dict[int, np.ndarray] = {}
+
+    def floors(self, step: float, raw: np.ndarray, trials: np.ndarray,
+               alpha: float, gamma: float) -> np.ndarray:
+        n, m = self.n, self.m
+        k, dim = trials.shape
+        t = self._rows.get(k)
+        if t is None:
+            t = self._rows[k] = np.ones((k, 2 * dim + 1))
+        t[:, :dim] = trials
+        np.abs(trials, out=t[:, dim:-1])
+        g = t @ self.map
+        vals = (g[:, :2 * dim] * t[:, :-1]) @ self.sums + self.const
+        v, bound = g[:, 2 * dim:-1], g[:, -1]
+        y = trials[:, n:n + m]
+        if self.natural:
+            v = np.minimum(y, v)
+        r = np.abs(v).sum(axis=1) if self.l1 else np.sqrt((v * v).sum(axis=1))
+        if not self.natural:
+            comp = np.abs(trials[:, n + m:] * y).sum(axis=1)
+            r, bound = r + comp, bound + comp
+        vals[:, 1], vals[:, 3] = r, bound
+        lo = vals @ self.drop - _SQRT_UNDERFLOW
+        return _weighted(lo[:, 0], lo[:, 1], alpha, gamma)
 
 
 # -- the flat kernel -----------------------------------------------------
@@ -431,12 +564,12 @@ class _Kernel:
         return np.concatenate([grad_x, grad_y, grad_l])
 
 
-    # -- compass screen (squared-stationarity residual only) ----------------
+    # -- compass screens -----------------------------------------------------
 
-    def screens_rays(self) -> bool:
-        """Whether ``ray_screen`` applies: the squared-stationarity kkt
-        residual, on data and a box within ``_SCREEN_DATA_MAX``."""
-        if self.spec.kind != KIND_KKT or not self.spec.squared_stationarity:
+    def screens(self) -> bool:
+        """Whether the compass screens trials: the min and kkt kinds, on
+        data and a box within ``_SCREEN_DATA_MAX``."""
+        if self.spec.kind == KIND_PRODUCT:
             return False
         f, (x_box, cap) = self.f, self._box
         parts = (self.M, self.Q, self.q0, f.xx, f.xy, f.yy, f.x_lin, f.y_lin, x_box,
@@ -444,19 +577,29 @@ class _Kernel:
         return max(float(np.max(np.abs(p), initial=0.0)) for p in parts) <= _SCREEN_DATA_MAX
 
     @cached_property
+    def _abs(self) -> SimpleNamespace:
+        """The absolute values of the data blocks the screens read."""
+        f = self.f
+        return SimpleNamespace(M=np.abs(self.M), Q=np.abs(self.Q), q0=np.abs(self.q0),
+                               xx=np.abs(f.xx), xy=np.abs(f.xy), yy=np.abs(f.yy))
+
+    @cached_property
+    def trial_floor(self) -> TrialFloor:
+        """The screen of the min and norm kkt residuals (see ``TrialFloor``)."""
+        return TrialFloor(self, _floor_margin(5 * (self.n + 2 * self.m) + 16))
+
+    @cached_property
     def _affine(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
         """L with L @ (z, |z|, 1) = (grad f(z), s(z), grad f~(|z|), sig(|z|)),
-        every gradient the screen takes as one affine map of z and |z|;
+        every gradient the ray screen takes as one affine map of z and |z|;
         the linear parts (a, b) and (|a|, |b|) of f and f~; and the
         ``RayScreen.drop`` matrix of this dimension."""
-        f, n, m = self.f, self.n, self.m
+        f, n, m, ab = self.f, self.n, self.m, self._abs
         dim = n + 2 * m
-        A, C = np.abs(f.xx), np.abs(f.yy)
         signed = (0.5 * (f.xx + f.xx.T), f.xy, 0.5 * (f.yy + f.yy.T), self.Q, self.M,
                   -np.eye(m), f.x_lin, f.y_lin, self.q0)
-        absolute = (0.5 * (A + A.T), np.abs(f.xy), 0.5 * (C + C.T), np.abs(self.Q),
-                    np.abs(self.M), np.eye(m), np.abs(f.x_lin), np.abs(f.y_lin),
-                    np.abs(self.q0))
+        absolute = (0.5 * (ab.xx + ab.xx.T), ab.xy, 0.5 * (ab.yy + ab.yy.T), ab.Q,
+                    ab.M, np.eye(m), np.abs(f.x_lin), np.abs(f.y_lin), ab.q0)
         L = np.zeros((2 * dim, 2 * dim + 1))
         # the signed blocks act on z, the absolute ones on |z|
         for o, (hx, bxy, hy, Q, M, lam, a, b, q0) in ((0, signed), (dim, absolute)):
@@ -480,9 +623,9 @@ class _Kernel:
         dx, dy, dl = polls[:, :n], polls[:, n:n + m], polls[:, n + m:]
         absd = np.abs(polls)
         ax, ay, al = absd[:, :n], absd[:, n:n + m], absd[:, n + m:]
-        absM, absQ = np.abs(self.M), np.abs(self.Q)
+        ab = self._abs
         s1 = dy @ self.M.T + dx @ self.Q.T - dl
-        sig1 = ay @ absM.T + ax @ absQ.T + al
+        sig1 = ay @ ab.M.T + ax @ ab.Q.T + al
         # slope of f: d'grad f; of r: 2 s1's + dy'lambda + dl'y; the
         # majorants take |d|, sig1 and |z| in their place
         t_f = polls[:, :n + m] @ L[:n + m]
@@ -502,7 +645,7 @@ class _Kernel:
         curves = np.stack([
             quad(f.xx, f.xy, f.yy, dx, dy),
             (s1 * s1).sum(axis=1) + (dl * dy).sum(axis=1),
-            quad(np.abs(f.xx), np.abs(f.xy), np.abs(f.yy), ax, ay),
+            quad(ab.xx, ab.xy, ab.yy, ax, ay),
             (sig1 * sig1).sum(axis=1) + (al * ay).sum(axis=1),
         ], axis=1)
         return np.concatenate([t_f, t_r, t_fa, t_ra]), curves

@@ -230,7 +230,8 @@ class TestFlagValidation:
 
 #: sha256 of the stdout and the exit code of commands on valid input,
 #: recorded before the command line was reduced to a front end over the
-#: library; every byte must stay as it was
+#: library (the ``min`` and norm kkt solves: before their compass trials
+#: were screened); every byte must stay as it was
 CLI_DIGESTS = {
     "probe --fixture linear-halfspace":
         ("a16095e75617eb53c4bed419a39f5bac8f7c6ac86f146c331c0667f5f561b601", 0),
@@ -272,6 +273,14 @@ CLI_DIGESTS = {
         ("66ed0d33a4b7efd4c41aec70ca94e1ef836c8a8d9e0c8feae0d3cc1c55e1cfb6", 0),
     "solve fixtures/q5-toy.mpec --alpha-fixed 2 --start 3 --max-outer 1":
         ("ba60ac02a545c761fe655742b46df1e2c057731bce38b7bea90a096305a7791e", 3),
+    "solve fixtures/lcp-param.mpec --residual min --gamma 1":
+        ("9b8239edfff93ad9cad5feeef4b09cc1bcdbaa3522a3468fac8c0487ef65e160", 0),
+    "solve fixtures/lcp-param.mpec --residual min --norm l1 --gamma 1":
+        ("9b8239edfff93ad9cad5feeef4b09cc1bcdbaa3522a3468fac8c0487ef65e160", 0),
+    "solve fixtures/lcp-param.mpec --variant norm":
+        ("6662017ec22efc1375a14b6bd6750a9d7a23c6a49f0864a3e2ab2d8ce8c7ea19", 0),
+    "solve fixtures/bilevel.mpec --variant norm --norm l1 --gamma 1":
+        ("f80ef9801155c6cd3a424453c54131641352fef3f9847bccdd9c91e41c64ffcc", 0),
     "residual fixtures/lcp-param.mpec --x 1 --y '-1 0' --lam '0 0' --norm l1 --variant norm":
         ("0033de8897a3e53b5f427e0f27ce488db4f05d259f22a6afba7b14c9e0c008d4", 0),
     "residual fixtures/lcp-param.mpec --x 1 --y '0 0' --residual min --norm l1":

@@ -281,15 +281,25 @@ def reference_project(A, a, B, b, x):
     return best_z, best_d
 
 
+def reference_or_none(A, a, B, b, x):
+    """``reference_project``, or None for an empty polyhedron."""
+    try:
+        return reference_project(A, a, B, b, x)
+    except EmptyPolyhedron:
+        return None
+
+
 def same_projection(A, a, B, b, x):
     """Asserts that the projection agrees bit for bit with the per-set
     loop, or that both certify emptiness, both with the default screen
     and with every chunk screened; returns the projection, or None for
     an empty polyhedron."""
-    try:
-        want_z, want_d = reference_project(A, a, B, b, x)
-    except EmptyPolyhedron:
-        want_z = None
+    return matches(A, a, B, b, x, reference_or_none(A, a, B, b, x))
+
+
+def matches(A, a, B, b, x, want):
+    """``same_projection`` against ``want``, the per-set loop's result."""
+    want_z, want_d = want if want is not None else (None, None)
     for screen_min in (errorbound._SCREEN_MIN_SETS, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(errorbound, "_SCREEN_MIN_SETS", screen_min)
@@ -338,14 +348,25 @@ def degenerate_systems():
             yield A, a, B, B @ v, v + A[:dim + 1].T @ rng.integers(0, 3, size=dim + 1)
 
 
+@pytest.fixture(scope="module")
+def per_set_results():
+    """The per-set loop's result for every seeded and degenerate system,
+    computed once: the loop visits the active sets in the same order
+    whatever the chunk budget."""
+    return ([reference_or_none(*system) for system in seeded_systems()],
+            [reference_or_none(*system) for system in degenerate_systems()])
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, 2000, lcp_oracle._CHUNK_BYTES])
-def test_projection_matches_per_set_loop(chunk_bytes, monkeypatch):
+def test_projection_matches_per_set_loop(chunk_bytes, per_set_results, monkeypatch):
     monkeypatch.setattr(lcp_oracle, "_CHUNK_BYTES", chunk_bytes)
-    empty = sum(same_projection(*system) is None for system in seeded_systems())
+    seeded, degenerate = per_set_results
+    empty = sum(matches(*system, want) is None
+                for system, want in zip(seeded_systems(), seeded, strict=True))
     assert 3 <= empty <= 18  # of 48
     empty = vertices = 0
-    for A, a, B, b, x in degenerate_systems():
-        z = same_projection(A, a, B, b, x)
+    for (A, a, B, b, x), want in zip(degenerate_systems(), degenerate, strict=True):
+        z = matches(A, a, B, b, x, want)
         empty += z is None
         # more planes than the dimension meet at the projection
         vertices += z is not None and np.sum(np.abs(A @ z - a) <= 1e-9) > x.size

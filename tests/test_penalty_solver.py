@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpecpen import model, residuals
+from mpecpen import model, penalty_solver, residuals
 from mpecpen import (
     AffineParamMap,
     DimensionMismatch,
@@ -249,6 +249,22 @@ class TestContinuation:
         assert rep.final_residual > 0.5
         assert rep.final_point.x[0] == pytest.approx(2.75, abs=1e-4)
 
+    def test_certificate_measured_once(self, monkeypatch):
+        # the report reuses the measure that certified the stagnated round,
+        # taken at the same point and weight
+        measure = penalty_solver.stationarity_measure
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return measure(*args)
+
+        monkeypatch.setattr(penalty_solver, "stationarity_measure", counting)
+        cfg = PenaltyConfig(alpha0=2.0, alpha_fixed=True, gamma=1.0)
+        rep = run_continuation(q5_toy_landscape(), cfg, np.array([2.75]))
+        assert rep.classification == CLASS_INFEASIBLE
+        assert len(calls) == 1
+
     def test_toy_feasible_leg(self):
         land = q5_toy_landscape()
         rep = run_continuation(land, PenaltyConfig(gamma=0.5), np.array([0.1]))
@@ -348,6 +364,7 @@ def _load_bench_instances():
 
 instances = _load_bench_instances()
 SCREEN_MARGIN = residuals._screen_margin
+FLOOR_MARGIN = residuals._floor_margin
 
 
 def reference_compass(land, alpha, gamma, z0, budget, callback=None):
@@ -426,84 +443,130 @@ def _generated_doc(rng, i):
     return instances.planted_mpec(rng, n, m, degenerate=i % 3 == 1)["doc"]
 
 
+def _setting_name(setting):
+    kind, norm, squared, gamma, _ = setting
+    return f"{kind}-{norm}{'-sq' if squared else ''}-g{gamma:g}"
+
+
 def differential_cases():
-    """(landscape, alpha, gamma, start, budget): the fixtures at several
-    weights, the q5 toy, and one generated instance per residual setting
-    of the benchmark's solve mix, each from the benchmark's start."""
+    """(setting, landscape, alpha, gamma, start, budget): the fixtures at
+    several weights, the q5 toy, one generated instance per residual
+    setting of the benchmark's solve mix, each from the benchmark's
+    start, and near ties for the ``TrialFloor`` residuals; ``setting``
+    names the residual setting of the generated cases and is None for
+    the others."""
     cases = []
     for name in ("lcp-param", "bilevel", "addq1"):
         problem = parse_problem_file(FIXTURES / f"{name}.mpec")
         land = landscape_from_problem(problem, SQ)
         for alpha in (1.0, 10.0, 1000.0):
-            cases.append((land, alpha, 0.5, default_start(problem).to_z(), 2000))
+            cases.append((None, land, alpha, 0.5, default_start(problem).to_z(), 2000))
     toy = q5_toy_landscape()
-    cases += [(toy, 2.0, 1.0, np.array([3.0]), 500), (toy, 1.0, 0.5, np.array([0.1]), 500)]
+    cases += [(None, toy, 2.0, 1.0, np.array([3.0]), 500),
+              (None, toy, 1.0, 0.5, np.array([0.1]), 500)]
     rng = np.random.default_rng(2024)
-    for i, (kind, norm, squared, gamma, extra) in enumerate(instances.RESIDUAL_SETTINGS):
+    for i, setting in enumerate(instances.RESIDUAL_SETTINGS):
+        kind, norm, squared, gamma, extra = setting
         doc = _generated_doc(rng, i)
         land = _setting_landscape(problem_from_dict(doc), kind, norm, squared, gamma)
         for alpha in (1.0, 100.0):
-            cases.append((land, alpha, gamma, np.array(instances._start(rng, doc)),
-                          extra["max_inner"]))
+            cases.append((_setting_name(setting), land, alpha, gamma,
+                          np.array(instances._start(rng, doc)), extra["max_inner"]))
+    # near ties: at weight 0 the value is f alone, and near its box
+    # minimizer the trials differ from the current value by rounding only
+    rng = np.random.default_rng(2025)
+    for kind, norm in (("min", "l2"), ("min", "l1"), ("kkt", "l2"), ("kkt", "l1")):
+        for family in ("planted", "generic"):
+            inst = (instances.generic_mpec(rng, 2, 3) if family == "generic"
+                    else instances.planted_mpec(rng, 2, 3, degenerate=False))
+            land = _setting_landscape(problem_from_dict(inst["doc"]), kind, norm, False, 1.0)
+            cases.append((f"{kind}-{norm}-tie", land, 0.0, 1.0,
+                          np.array(instances._start(rng, inst["doc"])), 1500))
     return cases
 
 
 def assert_same_sweeps(cases):
-    screened = 0
-    for land, alpha, gamma, z0, budget in cases:
+    """Asserts that the screened loop matches the reference on every case
+    and that each named setting's cases screen some trials; returns the
+    number of screened trials."""
+    screened = {}
+    for setting, land, alpha, gamma, z0, budget in cases:
         ref, got, skipped = compass_runs(land, alpha, gamma, z0, budget)
         assert got == ref
-        screened += skipped
-    return screened
+        screened[setting] = screened.get(setting, 0) + skipped
+    assert all(count > 0 for setting, count in screened.items() if setting is not None), screened
+    return sum(screened.values())
+
+
+def assert_charged(problem, spec):
+    """For budgets 0-40, the screened loop matches the reference, spends
+    the whole budget and screens some trials."""
+    land = landscape_from_problem(problem, spec)
+    z0 = default_start(problem).to_z()
+    screened = 0
+    for budget in range(41):
+        for alpha in (1.0, 10.0):
+            ref, got, skipped = compass_runs(land, alpha, spec.gamma, z0, budget)
+            assert got == ref
+            assert got[1] == budget
+            screened += skipped
+    assert screened > 0
+
+
+def _degenerate_planted():
+    return problem_from_dict(
+        instances.planted_mpec(np.random.default_rng(5), 2, 3, degenerate=True)["doc"])
 
 
 class TestCompassSweep:
     def test_matches_reference_loop(self):
         # every iterate, callback value and charged trial keeps its bits,
-        # while the screen leaves a large share of trials unevaluated
+        # while the screens leave a large share of trials unevaluated
         assert assert_same_sweeps(differential_cases()) > 1000
 
-    def test_screen_only_on_squared_kkt(self, lcp_param):
-        assert landscape_from_problem(lcp_param, SQ).ray_screen is not None
-        assert landscape_from_problem(lcp_param, SQ1).ray_screen is not None
-        for spec in (ResidualSpec("min", "l2", 1.0), ResidualSpec("min", "l1", 1.0),
-                     ResidualSpec("kkt", "l2", 0.5), ResidualSpec("kkt", "l1", 1.0)):
-            assert landscape_from_problem(lcp_param, spec).ray_screen is None
-        assert q5_toy_landscape().ray_screen is None
+    def test_every_setting_screens(self, lcp_param):
+        z = default_start(lcp_param).to_z()
+        for kind, norm, squared, gamma, _ in instances.RESIDUAL_SETTINGS:
+            land = landscape_from_problem(lcp_param, ResidualSpec(kind, norm, gamma, squared))
+            screen = land.screen(z, _polls(land, z, _coordinate_polls(land.dim)))
+            assert isinstance(screen, residuals.RayScreen if squared else residuals.TrialFloor)
+        assert q5_toy_landscape().screen is None
 
     def test_screen_off_for_huge_data(self):
         doc = json.loads((FIXTURES / "lcp-param.mpec").read_text())
         doc["objective"]["const"] = 2.0 ** 101
-        assert landscape_from_problem(problem_from_dict(doc), SQ).ray_screen is None
+        for spec in (SQ, ResidualSpec("min", "l1", 1.0), ResidualSpec("kkt", "l2", 0.5)):
+            assert landscape_from_problem(problem_from_dict(doc), spec).screen is None
 
     @pytest.mark.parametrize("margin", [lambda chain: 0.0,
                                         lambda chain: -SCREEN_MARGIN(chain)],
                              ids=["margin-0", "margin-flipped"])
     def test_catches_an_unsafe_margin(self, margin, monkeypatch):
-        # without the rounding margin, the screen skips trials whose
+        # without the rounding margin, the ray screen skips trials whose
         # computed value falls below phi by rounding alone, and the
         # iterates part from the reference loop
         monkeypatch.setattr(residuals, "_screen_margin", margin)
         with pytest.raises(AssertionError):
             assert_same_sweeps(differential_cases())
 
+    @pytest.mark.parametrize("margin", [lambda chain: 0.0,
+                                        lambda chain: -FLOOR_MARGIN(chain)],
+                             ids=["margin-0", "margin-flipped"])
+    def test_catches_an_unsafe_floor_margin(self, margin, monkeypatch):
+        # likewise for the trial floor of the min and norm kkt residuals,
+        # which the near-tie cases catch at rounding level
+        monkeypatch.setattr(residuals, "_floor_margin", margin)
+        with pytest.raises(AssertionError):
+            assert_same_sweeps(differential_cases())
+
     @pytest.mark.parametrize("degenerate", [False, True])
     def test_screened_trials_are_charged(self, lcp_param, degenerate):
-        if degenerate:
-            doc = instances.planted_mpec(np.random.default_rng(5), 2, 3, degenerate=True)["doc"]
-            problem = problem_from_dict(doc)
-        else:
-            problem = lcp_param
-        land = landscape_from_problem(problem, SQ)
-        z0 = default_start(problem).to_z()
-        screened = 0
-        for budget in range(41):
-            for alpha in (1.0, 10.0):
-                ref, got, skipped = compass_runs(land, alpha, 0.5, z0, budget)
-                assert got == ref
-                assert got[1] == budget
-                screened += skipped
-        assert screened > 0
+        assert_charged(_degenerate_planted() if degenerate else lcp_param, SQ)
+
+    @pytest.mark.parametrize("spec", [ResidualSpec("min", "l2", 1.0),
+                                      ResidualSpec("kkt", "l1", 1.0)], ids=["min", "norm"])
+    def test_floor_screened_trials_are_charged(self, spec):
+        assert_charged(_degenerate_planted(), spec)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2), m=st.integers(2, 5),
@@ -519,14 +582,14 @@ class TestCompassSweep:
         kind, norm, squared, gamma, _ = setting
         land = _setting_landscape(problem_from_dict(doc), kind, norm, squared, gamma)
         z0 = np.array(instances._start(rng, doc))
-        assert_same_sweeps([(land, alpha, gamma, z0, 400)])
-        if land.ray_screen is not None:
-            # the floors themselves: never above the value the landscape
-            # computes at an in-box trial
-            polls = _polls(land, z0, _coordinate_polls(land.dim))
-            screen = land.ray_screen(z0, polls)
-            for step in (0.5, 1e-3, 1e-7):
-                raw = z0 + step * polls
-                floors = screen.floors(step, alpha, gamma)
-                for i in np.flatnonzero(np.all((raw >= land.lower) & (raw <= land.upper), axis=1)):
-                    assert floors[i] <= land.penalized(raw[i], alpha, gamma)
+        assert_same_sweeps([(None, land, alpha, gamma, z0, 400)])
+        # the floors themselves: never above the value the landscape
+        # computes at a moved trial, clipped ones included
+        polls = _polls(land, z0, _coordinate_polls(land.dim))
+        screen = land.screen(z0, polls)
+        for step in (2.0, 0.5, 1e-3, 1e-7):
+            raw = z0 + step * polls
+            trials = np.clip(raw, land.lower, land.upper)
+            floors = screen.floors(step, raw, trials, alpha, gamma)
+            for i in np.flatnonzero((trials != z0).any(axis=1)):
+                assert floors[i] <= land.penalized(trials[i], alpha, gamma)
