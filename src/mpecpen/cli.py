@@ -86,8 +86,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args) -> ResidualSpec:
+    # --variant names the stationarity block of the kkt residual only
     return ResidualSpec(kind=args.residual, norm=args.norm,
-                        squared_stationarity=(args.variant == "squared"))
+                        squared_stationarity=(args.residual == "kkt"
+                                              and args.variant == "squared"))
 
 
 def _config_from_args(args) -> PenaltyConfig:

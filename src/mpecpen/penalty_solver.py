@@ -14,6 +14,13 @@ order and lets the search ride the manifold.  Those completions depend
 only on the activity pattern, so a landscape solves them once per
 pattern and hands out the same read-only array.
 
+Neither the objective nor the natural residual min(y, M y + q(x)) reads
+the multiplier, so the ``min`` landscape pins it: its multiplier box is
+{0}^m, its tangent rows complete (dx, dy) only, and a pair is degenerate
+where y_i and the slack w_i are both near zero.  The layout of z stays
+(x, y, lambda); the pinned +-e_lambda rows never move a trial, and a
+report fills lambda with the warm start clip(w, 0, cap).
+
 Each accepted point gets one poll matrix D: the coordinate rows
 +e_0, -e_0, +e_1, ... followed by the tangent rows.  A sweep forms every
 trial clip(z + step*D) at once; rows that the clip leaves equal to z are
@@ -119,7 +126,8 @@ class SolveReport:
     stationarity_measure: float
     gamma: float
     residual_kind: str
-    stationarity_variant: str
+    #: "squared" or "norm" for the kkt residual, None for the others
+    stationarity_variant: Optional[str]
 
     @property
     def final_residual(self) -> float:
@@ -176,6 +184,17 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
     n, m = problem.n, problem.m
     kernel = res.penalty_kernel(problem, spec)
     M, Q = problem.M, problem.qmap.Q
+    # neither f nor min(y, w) reads lambda: the natural landscape pins it
+    # at 0 and reports it as the warm multiplier clip(w, 0, cap)
+    natural = spec.kind == res.KIND_MIN
+    upper = problem.z_upper
+    as_point = problem.split
+    if natural:
+        upper[n + m:] = 0.0
+
+        def as_point(z):
+            return warm_point(problem, z[:n], z[n:n + m])
+
     cache: dict[tuple[bytes, bytes], np.ndarray] = {}
 
     def tangent_dirs(base, degen):
@@ -183,10 +202,11 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
         # (dy, dlambda) so the stationarity block stays zero under an
         # activity pattern of y: active rows keep their multiplier
         # (dl_i = 0) and solve M_AA dy_A = -(Q dx)_A; inactive rows keep
-        # dy_i = 0 and move the multiplier with the slack.  Pairs with
-        # both members near zero are degenerate corners of the solution
-        # path, where either branch may continue it, so both patterns
-        # are polled.
+        # dy_i = 0 and move the multiplier with the slack.  The natural
+        # landscape completes (dx, dy) only, with dl = 0, and drops the
+        # rows that then repeat.  Pairs with both members near zero are
+        # degenerate corners of the solution path, where either branch
+        # may continue it, so both patterns are polled.
         patterns = [np.flatnonzero(base)]
         if np.any(degen):
             patterns.append(np.flatnonzero(base | degen))
@@ -208,24 +228,31 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
                         if not np.all(np.isfinite(dy)):
                             continue
                     dl = np.zeros(m)
-                    slack_rate = kernel.rate(dx, dy)
-                    dl[inact] = slack_rate[inact]
+                    if not natural:
+                        slack_rate = kernel.rate(dx, dy)
+                        dl[inact] = slack_rate[inact]
                     d = np.concatenate([dx, dy, dl])
                     scale = float(np.max(np.abs(d)))
                     if scale > 1.0:
                         d /= scale
                     dirs.append(d)
         rows = np.array(dirs).reshape(len(dirs), n + 2 * m)
+        if natural:
+            _, first = np.unique(rows, axis=0, return_index=True)
+            rows = rows[np.sort(first)]
         rows.flags.writeable = False
         return rows
 
     def tangent_polls(z):
         # the directions depend on z only through its activity pattern,
-        # and M, Q are fixed for the landscape, so each pattern is solved once
-        y = z[n:n + m]
-        lam = z[n + m:]
+        # and M, Q are fixed for the landscape, so each pattern is solved
+        # once; a pair is degenerate where y_i and its partner (the
+        # multiplier, or for the natural landscape the slack w) are both
+        # near zero
+        x, y = z[:n], z[n:n + m]
+        partner = kernel._F(x, y) if natural else z[n + m:]
         base = y > 1e-9
-        degen = (~base) & (lam <= 1e-9)
+        degen = (~base) & (partner <= 1e-9)
         key = (base.tobytes(), degen.tobytes())
         dirs = cache.get(key)
         if dirs is None:
@@ -250,11 +277,11 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
     if kernel.screens():
         squared = spec.kind == res.KIND_KKT and spec.squared_stationarity
         screen = ray_screen if squared else trial_floor
-    return Landscape(lower=problem.z_lower, upper=problem.z_upper,
+    return Landscape(lower=problem.z_lower, upper=upper,
                      objective=kernel.objective, residual=kernel.residual,
                      expansion=kernel.expansion,
                      objective_slope=kernel.objective_slope,
-                     as_point=problem.split,
+                     as_point=as_point,
                      tangent_polls=tangent_polls,
                      screen=screen)
 
@@ -366,7 +393,7 @@ def inner_minimize(problem: MpecProblem, alpha: float, spec: ResidualSpec,
     z0.check_dims(problem)
     land = landscape_from_problem(problem, spec)
     z, _, _ = _compass(land, alpha, spec.gamma, z0.to_z(), budget, callback)
-    return problem.split(z)
+    return land.as_point(z)
 
 
 # -- stationarity ---------------------------------------------------------
@@ -437,13 +464,15 @@ def run_continuation(land: Landscape, config: PenaltyConfig,
         # the certificate's measure was taken at this (z, alpha) already
         stat = stationarity_measure(land, z, alphas[-1], gamma)
     spec = config.effective_spec()
+    variant = None
+    if spec.kind == res.KIND_KKT:
+        variant = "squared" if spec.squared_stationarity else "norm"
     point = land.as_point(z) if land.as_point else KktPoint(z, np.zeros(0), np.zeros(0))
     return SolveReport(final_point=point, alpha_history=alphas,
                        residual_history=rs, objective_history=fs,
                        penalized_history=phis, classification=classification,
                        stationarity_measure=stat, gamma=gamma,
-                       residual_kind=spec.kind,
-                       stationarity_variant="squared" if spec.squared_stationarity else "norm")
+                       residual_kind=spec.kind, stationarity_variant=variant)
 
 
 def penalty_continuation(problem: MpecProblem, config: PenaltyConfig,

@@ -20,6 +20,7 @@ from mpecpen import (
     parse_problem_file,
     penalized_objective,
     problem_from_dict,
+    solve_lcp_enumerate,
 )
 from mpecpen.penalty_solver import (
     CLASS_FEASIBLE,
@@ -220,6 +221,72 @@ class TestTangentPolls:
         dirs = landscape_from_problem(lcp_param, SQ).tangent_polls(self.ACTIVE)
         with pytest.raises(ValueError):
             dirs[0][0] = 1.0
+
+
+MIN_SPECS = [ResidualSpec("min", "l2", 1.0), ResidualSpec("min", "l1", 1.0)]
+
+
+class TestNaturalLandscape:
+    # neither f nor min(y, w) reads lambda, so the min landscape pins it
+
+    @pytest.mark.parametrize("spec", MIN_SPECS, ids=["l2", "l1"])
+    def test_lcp_param_reaches_optimum(self, lcp_param, spec):
+        # the known optimum f = 0.75 at x = 0.5, y = (0.25, 0); the min
+        # residual at gamma 1 is an exact penalty for this P-matrix LCP
+        rep = penalty_continuation(lcp_param, PenaltyConfig(gamma=1.0, residual=spec))
+        assert rep.classification == CLASS_FEASIBLE
+        assert abs(rep.final_objective - 0.75) <= 1e-6
+        point = rep.final_point
+        sols = solve_lcp_enumerate(lcp_param.lcp_at(point.x))
+        assert len(sols.points) == 1
+        assert np.max(np.abs(point.y - sols.points[0])) <= 1e-6
+        assert rep.stationarity_variant is None
+
+    def test_tangent_rows_complete_x_and_y_only(self, lcp_param):
+        # at z = 0 the slack w = (0, 1): only pair 1 is degenerate, and
+        # its branch y1 = x/2 is the path to the optimum
+        for spec in MIN_SPECS:
+            land = landscape_from_problem(lcp_param, spec)
+            rows = land.tangent_polls(np.zeros(5))
+            assert any(np.array_equal(row, [1.0, 0.5, 0.0, 0.0, 0.0]) for row in rows)
+            assert not np.any(rows[:, 3:])
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            assert np.array_equal(land.upper[3:], [0.0, 0.0])
+
+    def test_no_trial_moves_only_lambda(self, monkeypatch):
+        penalized = penalty_solver.Landscape.penalized
+        current = [None]
+        evaluated, lambda_only = [0], [0]
+
+        def counting(self, z, alpha, gamma):
+            if current[0] is not None:
+                evaluated[0] += 1
+                lambda_only[0] += np.array_equal(z[:-m], current[0][:-m])
+            return penalized(self, z, alpha, gamma)
+
+        def accepted(z, phi):
+            current[0] = z.copy()
+
+        monkeypatch.setattr(penalty_solver.Landscape, "penalized", counting)
+        rng = np.random.default_rng(7)
+        for i, setting in enumerate(instances.RESIDUAL_SETTINGS):
+            kind, norm, squared, gamma, extra = setting
+            doc = _generated_doc(rng, i)
+            if kind != "min":
+                continue
+            problem = problem_from_dict(doc)
+            m = problem.m
+            land = _setting_landscape(problem, kind, norm, squared, gamma)
+            for alpha in (1.0, 100.0):
+                current[0] = None
+                z, _, _ = _compass(land, alpha, gamma, np.array(instances._start(rng, doc)),
+                                   extra["max_inner"], accepted)
+                point = land.as_point(z)
+                F = problem.F(point.x, point.y)
+                assert np.array_equal(point.lam,
+                                      np.clip(F, 0.0, problem.multiplier_bound))
+        assert evaluated[0] > 0
+        assert lambda_only[0] == 0
 
 
 class TestContinuation:
