@@ -27,17 +27,14 @@ trial clip(z + step*D) at once; rows that the clip leaves equal to z are
 skipped free of charge, as before.  The others are walked in order and
 the first strict improvement is taken, so the iterates are those of a
 loop that evaluates one direction at a time.  The landscape of an MPEC
-also carries a screen, which gives rigorous lower bounds on the
-penalized value the landscape would compute at the trials of a sweep.
-For the squared-stationarity kkt residual it is a ``RayScreen``: along
-z + s*d the objective and the residual are exact quadratics in s, and it
-bounds the trials that the clip left unchanged (inside the box) from
-their coefficients.  For the ``min`` and norm kkt residuals it is a
-``TrialFloor``, which bounds every trial from one batched evaluation.  A
-trial whose bound is at least the current value cannot be accepted; it
-is charged against the budget like an evaluated trial but not evaluated.
-Every other trial is evaluated.  Only strict descent is accepted, so the
-penalized objective is non-increasing along the iterates.
+also carries a screen, a ``TrialFloor``, which bounds the penalized value
+the landscape would compute at every trial of a sweep, clipped or not,
+from below in one batched evaluation, for the ``min``, norm kkt and
+squared kkt residuals alike.  A trial whose bound is at least the
+current value cannot be accepted; it is charged against the budget like
+an evaluated trial but not evaluated.  Every other trial is evaluated.
+Only strict descent is accepted, so the penalized objective is
+non-increasing along the iterates.
 
 The outer loop raises the penalty parameter geometrically until either
 the residual meets the feasibility tolerance (a feasible minimizer), or
@@ -166,11 +163,9 @@ class Landscape:
     #: extra poll directions that follow the feasible manifold, as a
     #: read-only (k, dim) array, or None
     tangent_polls: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    #: the screen of the compass sweeps from z along the rows of a poll
-    #: matrix, whose ``floors`` bound ``penalized`` at their trials from
-    #: below (see ``RayScreen`` and ``TrialFloor``), or None
-    screen: Optional[Callable[[np.ndarray, np.ndarray],
-                              res.RayScreen | res.TrialFloor]] = None
+    #: the screen of the compass sweeps, whose ``floors`` bound
+    #: ``penalized`` from below at every trial, clipped or not, or None
+    screen: Optional[res.TrialFloor] = None
 
     @property
     def dim(self) -> int:
@@ -259,31 +254,13 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
             dirs = cache[key] = tangent_dirs(base, degen)
         return dirs
 
-    rows_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-
-    def ray_screen(z, polls):
-        # the row data depend only on the poll matrix, so once per pattern
-        key = polls.tobytes()
-        rows = rows_cache.get(key)
-        if rows is None:
-            rows = rows_cache[key] = kernel.ray_rows(polls)
-        return kernel.ray_screen(z, rows)
-
-    def trial_floor(z, polls):
-        # one floor for every z: it reads the trials themselves
-        return kernel.trial_floor
-
-    screen = None
-    if kernel.screens():
-        squared = spec.kind == res.KIND_KKT and spec.squared_stationarity
-        screen = ray_screen if squared else trial_floor
     return Landscape(lower=problem.z_lower, upper=upper,
                      objective=kernel.objective, residual=kernel.residual,
                      expansion=kernel.expansion,
                      objective_slope=kernel.objective_slope,
                      as_point=as_point,
                      tangent_polls=tangent_polls,
-                     screen=screen)
+                     screen=kernel.trial_floor if kernel.screens() else None)
 
 
 def q5_toy_landscape() -> Landscape:
@@ -355,15 +332,13 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
         if polls is None:
             # the poll matrix of the current z: built again only when z moves
             polls = _polls(land, z, coords)
-            screen = land.screen(z, polls) if land.screen is not None else None
-        raw = z + step * polls
-        trials = np.clip(raw, land.lower, land.upper)
+        trials = np.clip(z + step * polls, land.lower, land.upper)
         moved = (trials != z).any(axis=1)
-        if screen is None:
+        if land.screen is None:
             screened = np.zeros_like(moved)
         else:
             # trials that provably cannot improve on phi
-            screened = screen.floors(step, raw, trials, alpha, gamma) >= phi
+            screened = land.screen.floors(trials, alpha, gamma) >= phi
         for i, skip in zip(np.flatnonzero(moved).tolist(), screened[moved].tolist()):
             if evals >= budget:
                 return z, phi, evals

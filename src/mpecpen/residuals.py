@@ -31,13 +31,11 @@ validated wrappers that check their input and make one call into it.
 Whatever needs the growth expansion gets its kernel from
 ``penalty_kernel``, which refuses the product kind.
 
-The kernel also screens compass trials: each screen gives, for every
-trial of a sweep at once, a rigorous lower bound on the penalized value
-the landscape would compute there.  For the squared-stationarity
-residual, f and r are exact quadratics in s along z + s d, and
-``RayScreen`` bounds them from their coefficients at the in-box trials.
-For the ``min`` and norm kkt residuals, ``TrialFloor`` evaluates f, r and
-their absolute-value majorants at every trial in one batched pass.
+The kernel also screens compass trials.  Its ``TrialFloor`` gives, for
+every trial of a sweep at once, clipped or not, a rigorous lower bound
+on the penalized value the landscape would compute there: it evaluates
+f, r and their absolute-value majorants at the trials in one batched
+pass, for the ``min``, norm kkt and squared kkt residuals alike.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -200,15 +197,14 @@ def _penalized_slope(objective_slope, expansion, z: np.ndarray, d: np.ndarray,
     return objective_slope(z, d) + alpha * pslope
 
 
-# -- the compass screens ---------------------------------------------------
+# -- the compass screen ----------------------------------------------------
 
-#: the screens are built only when the problem data and the box are at
-#: most this large in magnitude, which keeps overflow out and bounds the
+#: the screen is built only when the problem data and the box are at most
+#: this large in magnitude, which keeps overflow out and bounds the
 #: absolute effect of gradual underflow
 _SCREEN_DATA_MAX = 2.0 ** 100
-#: the underflow allowances eta of ``RayScreen`` and of ``TrialFloor``,
-#: whose l2 norms take the square root of an underflow error
-_UNDERFLOW = 2.0 ** -600
+#: the underflow allowance eta of ``TrialFloor``, whose l2 norms take the
+#: square root of an underflow error
 _SQRT_UNDERFLOW = 2.0 ** -500
 #: relative error allowed for a computed power r**gamma, here and in
 #: ``Landscape.penalized``: libm's pow is within 1 ulp (2^-52), numpy's
@@ -216,119 +212,34 @@ _SQRT_UNDERFLOW = 2.0 ** -500
 _POW_SLACK = 2.0 ** -40
 
 
-def _screen_margin(chain: int) -> float:
-    """The relative margin rho of ``RayScreen`` for computations in which
-    no term passes through more than ``chain`` roundings."""
-    return (3 * chain + 16) * rounding.U
-
-
 def _floor_margin(chain: int) -> float:
-    """The relative margin rho of ``TrialFloor``, likewise."""
+    """The relative margin rho of ``TrialFloor`` for computations in which
+    no term passes through more than ``chain`` roundings."""
     return 3.0 * rounding.gamma(chain)
-
-
-def _weighted(f_lo: np.ndarray, r_lo: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
-    # step 7 of ``RayScreen``: floors of f and r to a floor of the
-    # penalized value; numpy takes sqrt for gamma = 1/2 and a copy for 1
-    power = np.maximum(r_lo, 0.0) ** gamma
-    return f_lo + (alpha * power) * (1.0 - _POW_SLACK)
-
-
-class RayScreen:
-    """Lower bounds on the computed penalized value at in-box compass trials.
-
-    Built by ``_Kernel.ray_screen`` at one point z for the rows d of one
-    poll matrix D, for the squared-stationarity residual.
-    ``floors(s, raw, trials, alpha, gamma)`` returns, for every row, a
-    number L with L <= fl(f(t) + alpha * max(r(t), 0)**gamma), the value
-    that ``Landscape.penalized`` computes at the trial t = fl(z + fl(s d)),
-    whenever t lies in the box (so the compass's clip leaves it alone:
-    ``trials`` equals ``raw`` there), for alpha >= 0 and gamma > 0, and
-    -inf at the clipped rows.  A trial with L >= phi(z) cannot be a
-    strict improvement, and the compass charges it without evaluating it.
-
-    Derivation.  u and gamma_k are as in ``rounding``, dim = n + 2m and
-    K = 5 dim + 16.  f is the quadratic 0.5 x'Ax + x'By + 0.5 y'Cy + a'x
-    + b'y + c, and r(z) = ||s(z)||^2 + lambda'y with s(z) = M y + Q x
-    + q0 - lambda.  Their absolute-value majorants are
-    f~(v) = 0.5 v_x'|A|v_x + v_x'|B|v_y + 0.5 v_y'|C|v_y + |a|'v_x
-    + |b|'v_y + |c| and r~(v) = ||sig(v)||^2 + v_l'v_y with
-    sig(v) = |M| v_y + |Q| v_x + |q0| + v_l.
-
-    1. Every quantity here (f and r as the kernel computes them at t,
-       and the coefficients below, in any summation order numpy and BLAS
-       pick) is a sum of products in which no term passes through more
-       than K roundings; the longest chains, r(z) and the slopes of r
-       (``ray_screen``), stay under 5 dim + 7.  So each computed value lies
-       within gamma_K of the exact one, times the same expression
-       evaluated on absolute values; for f and r at t that expression is
-       f~(|t|) and r~(|t|).
-    2. Let W = z + s d (exact) and v = |z| + s|d|.  The two roundings of
-       t give |t - W| <= 2.01 u v, so |t| <= (1 + 2.01 u) v.
-    3. On the ray, exactly, f(W) = f(z) + s g'd + s^2 q_f(d) with
-       g = grad f(z) and q_f the quadratic part of f, and
-       r(W) = r(z) + s (2 s(z)'s1 + lambda'd_y + y'd_l) + s^2 (||s1||^2
-       + d_l'd_y) with s1 = M d_y + Q d_x - d_l.  The majorants have the
-       same form: S_f(s) = f~(|z|) + s grad f~(|z|)'|d| + s^2 q~_f(|d|)
-       equals f~(v), and S_r(s) = r~(v) likewise.  The kernel computes
-       the three coefficients of all four quadratics.
-    4. |f(t) - f(W)| <= grad f~(v)'|t - W| + q~_f(|t - W|)
-       <= 4.03 u S_f(s), since v'grad f~(v) <= 2 f~(v); the same holds
-       for r, with v'grad r~(v) <= 2 r~(v).
-    5. Summing the computed value at t (1 and 2: gamma_K (1 + 4.03 u)),
-       the step from t to W (4), the coefficients (1: gamma_K) and the
-       four roundings of evaluating the quadratic at s gives
-       |f_c(t) - F| <= (2.03 K + 8.2) u S_f(s), where F is the computed
-       quadratic; likewise for r.  The computed majorant S~ (a sum of
-       nonnegative terms) satisfies S_f <= S~ (1 + gamma_{K+4}).
-    6. The floors are F_lo = fl(F - rho S~) - eta with
-       rho = ``_screen_margin(K)`` = (3K + 16) u and eta = 2^-600; the
-       last two roundings cost at most 3.1 u S~, so rho covers every term
-       of 5 with room to spare, and eta covers gradual underflow, which
-       with data and box entries at most 2^100 (``_SCREEN_DATA_MAX``)
-       adds less than K^2 2^-1075 2^400 < eta / 4.  So F_lo <= f_c(t),
-       and likewise R_lo <= r_c(t).
-    7. Power, weight and sum: with pow, sqrt and numpy's power each
-       within a relative 2^-41 (``_POW_SLACK``), monotonicity of x**gamma
-       gives P_lo = fl(fl(alpha pow(max(R_lo, 0))) (1 - 2^-40))
-       <= fl(alpha * max(r_c(t), 0)**gamma).  Rounded addition is
-       monotone, so L = fl(F_lo + P_lo) <= fl(f_c(t) + that power term),
-       which is the landscape's value at t.
-    """
-
-    __slots__ = ("coef", "drop")
-
-    def __init__(self, coef: np.ndarray, drop: np.ndarray):
-        #: (k, 4, 3): per row, the coefficients of 1, s, s^2 of f, r, f~, r~
-        self.coef = coef
-        #: (4, 2): maps (F, R, S~_f, S~_r) to (F - rho S~_f, R - rho S~_r)
-        self.drop = drop
-
-    def floors(self, step: float, raw: np.ndarray, trials: np.ndarray,
-               alpha: float, gamma: float) -> np.ndarray:
-        lo = (self.coef @ (1.0, step, step * step)) @ self.drop - _UNDERFLOW
-        # only a trial that the clip left alone lies on its ray
-        return np.where((trials == raw).all(axis=1),
-                        _weighted(lo[:, 0], lo[:, 1], alpha, gamma), -np.inf)
 
 
 class TrialFloor:
     """Lower bounds on the computed penalized value at any compass trial,
-    for the ``min`` and norm kkt residuals.
+    for the ``min``, norm kkt and squared kkt residuals.
 
     Built once per kernel by ``_Kernel.trial_floor``.
-    ``floors(s, raw, trials, alpha, gamma)`` reads only the (k, dim)
-    trials t of a sweep, clipped or not, and returns for every row a
-    number L <= fl(f(t) + alpha * max(r(t), 0)**gamma), the value that
+    ``floors(trials, alpha, gamma)`` reads only the (k, dim) trials t of a
+    sweep, clipped or not, and returns for every row a number
+    L <= fl(f(t) + alpha * max(r(t), 0)**gamma), the value that
     ``Landscape.penalized`` computes at t, for alpha >= 0 and gamma > 0.
-    Since the bound is taken at t itself, no step from t to the ray is
-    needed.
+    A trial with L >= phi(z) cannot be a strict improvement, and the
+    compass charges it without evaluating it.
 
-    Derivation.  u, gamma_k, dim, K = 5 dim + 16, f and f~ are as in
-    ``RayScreen``.  For a point t = (x, y, lambda) let
-    sig = |M||y| + |Q||x| + |q0| and take as the majorant of r
-    r~ = sum_i (sig_i + |y_i|) for ``min`` and
-    r~ = sum_i (sig_i + |y_i| + 2 |lambda_i| + |lambda_i y_i|) for norm kkt.
+    Derivation.  u and gamma_k are as in ``rounding``, dim = n + 2m and
+    K = 5 dim + 16.  f is the quadratic 0.5 x'Ax + x'By + 0.5 y'Cy + a'x
+    + b'y + c, with absolute-value majorant f~(v) = 0.5 v_x'|A|v_x
+    + v_x'|B|v_y + 0.5 v_y'|C|v_y + |a|'v_x + |b|'v_y + |c|.  For a point
+    t = (x, y, lambda) let w = M y + Q x + q0, s = w - lambda and
+    sig = |M||y| + |Q||x| + |q0|, and take as the majorant of r
+    r~ = sum_i (sig_i + |y_i|) for ``min``,
+    r~ = sum_i (sig_i + |y_i| + 2 |lambda_i| + |lambda_i y_i|) for norm kkt, and
+    r~ = sum_i (sig_i + |lambda_i|)^2 + sum_i |lambda_i y_i| for squared kkt,
+    whose r = sum_i s_i^2 + sum_i lambda_i y_i.
 
     1. The landscape (``QuadObjective.value``) and the batch both
        evaluate f at t as a sum of products in which no term passes
@@ -338,24 +249,37 @@ class TrialFloor:
        The batch writes f = 0.5 sum_i v_i (H v + 2a)_i + c with
        v = (x, y), H = [[A, B], [B', C]] and a = (a_x, a_y), whose
        absolute-value form is f~ again.
-    2. Each computed w_i = (M y + Q x + q0)_i, or s_i = w_i - lambda_i,
-       lies within gamma_{2 dim + 2} sig_i, or gamma_{2 dim + 2} (sig_i
-       + |lambda_i|), of its exact value.  min(y_i, .), |.| and max(., 0)
-       are exact and 1-Lipschitz, so these errors carry through to the
-       components v_i that are summed, and |min(y_i, w_i)| <= |y_i|
-       + |w_i|.  The l1 sum adds a relative gamma_m; the l2 norm,
-       sqrt(sum v_i^2), lies within gamma_{m+1} of ||v_c||, and
-       | ||v_c|| - ||v|| | <= ||v_c - v||_1; the sums of |lambda_i y_i|,
-       [-y]_+ and [-lambda]_+ and the three final additions add a
-       relative gamma_{m+4}.  Every sum of absolute values here is at
-       most (1 + gamma_{2 dim + 2}) r~(|t|), so, with gamma_a + gamma_b
+    2. Each computed w_i, or s_i, is a sum of at most 2 dim + 1 products
+       that passes through at most 2 dim + 2 roundings, and so lies within
+       gamma_{2 dim + 2} sig_i, or gamma_{2 dim + 2} (sig_i + |lambda_i|),
+       of its exact value.
+       For ``min`` and norm kkt, min(y_i, .), |.| and max(., 0) are exact
+       and 1-Lipschitz, so these errors carry through to the components
+       v_i that are summed, and |min(y_i, w_i)| <= |y_i| + |w_i|.  The l1
+       sum adds a relative gamma_m; the l2 norm, sqrt(sum v_i^2), lies
+       within gamma_{m+1} of ||v_c||, and | ||v_c|| - ||v|| |
+       <= ||v_c - v||_1; the sums of |lambda_i y_i|, [-y]_+ and
+       [-lambda]_+ and the three final additions add a relative
+       gamma_{m+4}.  Every sum of absolute values here is at most
+       (1 + gamma_{2 dim + 2}) r~(|t|), so, with gamma_a + gamma_b
        + gamma_a gamma_b <= gamma_{a+b}, each computed r lies within
        gamma_{3 dim + 8} r~(|t|) <= gamma_K r~(|t|) of r(t).  The batch
        leaves out the norm kkt violation sums, nonnegative terms that
        vanish in the box; that only lowers its value R.
+       The squared r is itself a sum of products: each s_i^2 expands into
+       the products of two terms of s_i, and r~ is the same sum with every
+       term replaced by its absolute value.  In the batch a product passes
+       through the roundings of its two factors s_i, the square, the m - 1
+       additions over the components and the one that adds the sum of the
+       lambda_i y_i (whose terms pass through m + 1), at most
+       2 (2 dim + 2) + 1 + m = 4 dim + m + 5 <= K; in the landscape
+       (``_Kernel.squared_residual``), whose s_i pass through at most
+       dim + 2, fewer.  So each computed r lies within gamma_K r~(|t|) of
+       r(t) here too.
     3. So F - f_c(t) <= 2 gamma_K f~(|t|), where F is the batch's f and
        f_c the landscape's, and R - r_c(t) <= 2 gamma_K r~(|t|).  The
-       computed majorants S~, sums of nonnegative terms, are at least
+       computed majorants S~, sums of nonnegative terms (and for squared
+       kkt of their squares, whose chains are as in 2), are at least
        (1 - gamma_K) times the exact ones, so with rho = 3 gamma_K
        (``_floor_margin(K)``) and K u < 1/8, fl(rho S~_f) >= 2 gamma_K
        f~(|t|).  Rounding is monotone and f_c(t) is a floating-point
@@ -364,36 +288,54 @@ class TrialFloor:
        likewise for r.
     4. eta = 2^-500 covers gradual underflow.  With data and box entries
        at most 2^100 (``_SCREEN_DATA_MAX``) and dim < 2^30, the underflows
-       of the products add less than dim^2 2^-970 to f, r and S~, and
-       those of the squares in an l2 norm, at most m 2^-1075 under its
-       square root, add less than 2^-520; so F_lo = fl(F - rho S~_f) - eta
-       <= f_c(t) and R_lo <= r_c(t).
-    5. Step 7 of ``RayScreen`` then gives L <= the landscape's value.
+       of the products add less than dim^2 2^-970 to f, r and S~ for
+       ``min`` and norm kkt; those of the squares in an l2 norm, at most
+       m 2^-1075 under its square root, add less than 2^-520; and for
+       squared kkt, where an underflow error of at most dim 2^-1073 in s_i
+       or sig_i + |lambda_i|, both at most dim 2^202, is multiplied by at
+       most twice that, they add less than dim^3 2^-868 < 2^-770.  So
+       F_lo = fl(F - rho S~_f) - eta <= f_c(t) and R_lo <= r_c(t).
+    5. Power, weight and sum: with pow, sqrt and numpy's power each
+       within a relative 2^-41 (``_POW_SLACK``), monotonicity of x**gamma
+       gives P_lo = fl(fl(alpha pow(max(R_lo, 0))) (1 - 2^-40))
+       <= fl(alpha * max(r_c(t), 0)**gamma).  Rounded addition is
+       monotone, so L = fl(F_lo + P_lo) <= fl(f_c(t) + that power term),
+       which is the landscape's value at t.
     """
 
-    __slots__ = ("n", "m", "natural", "l1", "map", "sums", "const", "drop", "_rows")
+    __slots__ = ("n", "m", "natural", "squared", "l1", "map", "sums", "const", "drop",
+                 "_rows")
 
     def __init__(self, kernel: "_Kernel", rho: float):
-        f, n, m, ab = kernel.f, kernel.n, kernel.m, kernel._abs
+        f, n, m, spec = kernel.f, kernel.n, kernel.m, kernel.spec
         dim = n + 2 * m
         p, x, y, lam = n + m, slice(0, n), slice(n, n + m), slice(n + m, dim)
+        w = slice(2 * dim, 2 * dim + m)
         self.n, self.m = n, m
-        self.natural = kernel.spec.kind == KIND_MIN
-        self.l1 = kernel.spec.norm == NORM_L1
+        self.natural = spec.kind == KIND_MIN
+        self.squared = spec.kind == KIND_KKT and spec.squared_stationarity
+        self.l1 = spec.norm == NORM_L1
         H = np.block([[f.xx, f.xy], [f.xy.T, f.yy]])
-        absH = np.block([[ab.xx, ab.xy], [ab.xy.T, ab.yy]])
         lin = np.concatenate([f.x_lin, f.y_lin])
-        #: (t, |t|, 1) @ map = (H v + 2a, 0, |H||v| + 2|a|, 0, w or s,
-        #: r~ less its products |lambda_i y_i|)
-        self.map = np.zeros((2 * dim + 1, 2 * dim + m + 1))
-        self.map[:p, :p], self.map[dim:dim + p, dim:dim + p] = H.T, absH.T
-        self.map[x, 2 * dim:-1], self.map[y, 2 * dim:-1] = kernel.Q.T, kernel.M.T
+        absM, absQ, absq0 = np.abs(kernel.M), np.abs(kernel.Q), np.abs(kernel.q0)
+        #: (t, |t|, 1) @ map = (H v + 2a, 0, |H||v| + 2|a|, 0, w or s, the
+        #: majorant columns): for squared kkt the m columns sig + |lambda|,
+        #: else the one column r~ less its products |lambda_i y_i|
+        self.map = np.zeros((2 * dim + 1, 2 * dim + m + (m if self.squared else 1)))
+        self.map[:p, :p], self.map[dim:dim + p, dim:dim + p] = H.T, np.abs(H).T
+        self.map[x, w], self.map[y, w] = kernel.Q.T, kernel.M.T
         if not self.natural:
-            self.map[lam, 2 * dim:-1] = -np.eye(m)
-        self.map[dim:-1, -1] = np.concatenate([ab.Q.sum(axis=0), ab.M.sum(axis=0) + 1.0,
+            self.map[lam, w] = -np.eye(m)
+        self.map[-1, :w.stop] = np.concatenate([2.0 * lin, np.zeros(m), 2.0 * np.abs(lin),
+                                                np.zeros(m), kernel.q0])
+        majorant = self.map[dim:, w.stop:]
+        if self.squared:
+            majorant[x], majorant[y], majorant[lam] = absQ.T, absM.T, np.eye(m)
+            majorant[-1] = absq0
+        else:
+            majorant[:-1, 0] = np.concatenate([absQ.sum(axis=0), absM.sum(axis=0) + 1.0,
                                                np.full(m, 0.0 if self.natural else 2.0)])
-        self.map[-1] = np.concatenate([2.0 * lin, np.zeros(m), 2.0 * np.abs(lin), np.zeros(m),
-                                       kernel.q0, (ab.q0.sum(),)])
+            majorant[-1] = absq0.sum()
         #: P @ sums + const = (f, 0, f~, 0) for the products P of (t, |t|)
         #: with the first two blocks
         self.sums = np.zeros((2 * dim, 4))
@@ -403,8 +345,7 @@ class TrialFloor:
         #: (t, |t|, 1) work arrays by row count
         self._rows: dict[int, np.ndarray] = {}
 
-    def floors(self, step: float, raw: np.ndarray, trials: np.ndarray,
-               alpha: float, gamma: float) -> np.ndarray:
+    def floors(self, trials: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
         n, m = self.n, self.m
         k, dim = trials.shape
         t = self._rows.get(k)
@@ -414,17 +355,24 @@ class TrialFloor:
         np.abs(trials, out=t[:, dim:-1])
         g = t @ self.map
         vals = (g[:, :2 * dim] * t[:, :-1]) @ self.sums + self.const
-        v, bound = g[:, 2 * dim:-1], g[:, -1]
+        v, majorant = g[:, 2 * dim:2 * dim + m], g[:, 2 * dim + m:]
         y = trials[:, n:n + m]
         if self.natural:
             v = np.minimum(y, v)
-        r = np.abs(v).sum(axis=1) if self.l1 else np.sqrt((v * v).sum(axis=1))
+        if self.squared:
+            r, bound = (v * v).sum(axis=1), (majorant * majorant).sum(axis=1)
+        else:
+            r = np.abs(v).sum(axis=1) if self.l1 else np.sqrt((v * v).sum(axis=1))
+            bound = majorant[:, 0]
         if not self.natural:
-            comp = np.abs(trials[:, n + m:] * y).sum(axis=1)
-            r, bound = r + comp, bound + comp
+            prod = trials[:, n + m:] * y
+            comp = np.abs(prod).sum(axis=1)
+            r, bound = r + (prod.sum(axis=1) if self.squared else comp), bound + comp
         vals[:, 1], vals[:, 3] = r, bound
         lo = vals @ self.drop - _SQRT_UNDERFLOW
-        return _weighted(lo[:, 0], lo[:, 1], alpha, gamma)
+        # step 5: numpy takes sqrt for gamma = 1/2 and a copy for 1
+        power = np.maximum(lo[:, 1], 0.0) ** gamma
+        return lo[:, 0] + (alpha * power) * (1.0 - _POW_SLACK)
 
 
 # -- the flat kernel -----------------------------------------------------
@@ -563,8 +511,7 @@ class _Kernel:
         grad_l = scale * (-2.0 * s + y)
         return np.concatenate([grad_x, grad_y, grad_l])
 
-
-    # -- compass screens -----------------------------------------------------
+    # -- compass screen ------------------------------------------------------
 
     def screens(self) -> bool:
         """Whether the compass screens trials: the min and kkt kinds, on
@@ -577,100 +524,9 @@ class _Kernel:
         return max(float(np.max(np.abs(p), initial=0.0)) for p in parts) <= _SCREEN_DATA_MAX
 
     @cached_property
-    def _abs(self) -> SimpleNamespace:
-        """The absolute values of the data blocks the screens read."""
-        f = self.f
-        return SimpleNamespace(M=np.abs(self.M), Q=np.abs(self.Q), q0=np.abs(self.q0),
-                               xx=np.abs(f.xx), xy=np.abs(f.xy), yy=np.abs(f.yy))
-
-    @cached_property
     def trial_floor(self) -> TrialFloor:
-        """The screen of the min and norm kkt residuals (see ``TrialFloor``)."""
+        """The compass screen of the min and kkt residuals (see ``TrialFloor``)."""
         return TrialFloor(self, _floor_margin(5 * (self.n + 2 * self.m) + 16))
-
-    @cached_property
-    def _affine(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """L with L @ (z, |z|, 1) = (grad f(z), s(z), grad f~(|z|), sig(|z|)),
-        every gradient the ray screen takes as one affine map of z and |z|;
-        the linear parts (a, b) and (|a|, |b|) of f and f~; and the
-        ``RayScreen.drop`` matrix of this dimension."""
-        f, n, m, ab = self.f, self.n, self.m, self._abs
-        dim = n + 2 * m
-        signed = (0.5 * (f.xx + f.xx.T), f.xy, 0.5 * (f.yy + f.yy.T), self.Q, self.M,
-                  -np.eye(m), f.x_lin, f.y_lin, self.q0)
-        absolute = (0.5 * (ab.xx + ab.xx.T), ab.xy, 0.5 * (ab.yy + ab.yy.T), ab.Q,
-                    ab.M, np.eye(m), np.abs(f.x_lin), np.abs(f.y_lin), ab.q0)
-        L = np.zeros((2 * dim, 2 * dim + 1))
-        # the signed blocks act on z, the absolute ones on |z|
-        for o, (hx, bxy, hy, Q, M, lam, a, b, q0) in ((0, signed), (dim, absolute)):
-            x, y, s, end = o, o + n, o + n + m, o + dim  # blocks of x, y, lambda
-            L[x:y, x:y], L[x:y, y:s], L[x:y, -1] = hx, bxy, a
-            L[y:s, x:y], L[y:s, y:s], L[y:s, -1] = bxy.T, hy, b
-            L[s:end, x:y], L[s:end, y:s], L[s:end, s:end], L[s:end, -1] = Q, M, lam, q0
-        lin = np.concatenate([f.x_lin, f.y_lin])
-        rho = _screen_margin(5 * dim + 16)
-        drop = np.array([[1.0, 0.0], [0.0, 1.0], [-rho, 0.0], [0.0, -rho]])
-        return L, (lin, np.abs(lin)), drop
-
-    def ray_rows(self, polls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """What ``ray_screen`` needs of a poll matrix D (k x dim), computed
-        once per matrix: T (4k x (2 dim + 1)) with T @ (z, |z|, 1) the
-        slopes of f, r, f~ and r~ along every row, and the (k, 4)
-        curvatures.  Uses S1 = D_y M' + D_x Q' - D_l, the rates of s, and
-        Sig1 = |D_y||M|' + |D_x||Q|' + |D_l|, those of sig."""
-        f, n, m, L = self.f, self.n, self.m, self._affine[0]
-        dim = n + 2 * m
-        dx, dy, dl = polls[:, :n], polls[:, n:n + m], polls[:, n + m:]
-        absd = np.abs(polls)
-        ax, ay, al = absd[:, :n], absd[:, n:n + m], absd[:, n + m:]
-        ab = self._abs
-        s1 = dy @ self.M.T + dx @ self.Q.T - dl
-        sig1 = ay @ ab.M.T + ax @ ab.Q.T + al
-        # slope of f: d'grad f; of r: 2 s1's + dy'lambda + dl'y; the
-        # majorants take |d|, sig1 and |z| in their place
-        t_f = polls[:, :n + m] @ L[:n + m]
-        t_r = 2.0 * s1 @ L[n + m:dim]
-        t_r[:, n + m:dim] += dy
-        t_r[:, n:n + m] += dl
-        t_fa = absd[:, :n + m] @ L[dim:dim + n + m]
-        t_ra = 2.0 * sig1 @ L[dim + n + m:]
-        t_ra[:, dim + n + m:2 * dim] += ay
-        t_ra[:, dim + n:dim + n + m] += al
-
-        def quad(A, B, C, vx, vy):
-            # rowwise 0.5 vx'A vx + vx'B vy + 0.5 vy'C vy
-            return (0.5 * ((vx @ A.T) * vx).sum(axis=1) + ((vy @ B.T) * vx).sum(axis=1)
-                    + 0.5 * ((vy @ C.T) * vy).sum(axis=1))
-
-        curves = np.stack([
-            quad(f.xx, f.xy, f.yy, dx, dy),
-            (s1 * s1).sum(axis=1) + (dl * dy).sum(axis=1),
-            quad(ab.xx, ab.xy, ab.yy, ax, ay),
-            (sig1 * sig1).sum(axis=1) + (al * ay).sum(axis=1),
-        ], axis=1)
-        return np.concatenate([t_f, t_r, t_fa, t_ra]), curves
-
-    def ray_screen(self, z: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> RayScreen:
-        """The screen at z of the poll matrix behind ``rows`` (from
-        ``ray_rows``): f, r, f~ and r~ at z from one product with the
-        affine map, and their slopes along every row from one more."""
-        f, n, m = self.f, self.n, self.m
-        dim = n + 2 * m
-        L, lin, drop = self._affine
-        w = np.concatenate([z, np.abs(z), (1.0,)])
-        g = L @ w
-        s, sig = g[n + m:dim], g[dim + n + m:]
-        # f(z) = 0.5 (grad f(z) + linear part)'(x, y) + c, and so for f~
-        rates, curves = rows
-        coef = np.empty((curves.shape[0], 4, 3))
-        coef[:, 0, 0] = 0.5 * float((g[:n + m] + lin[0]) @ z[:n + m]) + f.const
-        coef[:, 1, 0] = float(s @ s + z[n + m:] @ z[n:n + m])
-        coef[:, 2, 0] = 0.5 * float((g[dim:dim + n + m] + lin[1]) @ w[dim:dim + n + m]) \
-            + abs(f.const)
-        coef[:, 3, 0] = float(sig @ sig + w[dim + n + m:2 * dim] @ w[dim + n:dim + n + m])
-        coef[:, :, 1] = (rates @ w).reshape(4, -1).T
-        coef[:, :, 2] = curves
-        return RayScreen(coef, drop)
 
 
 def penalty_kernel(problem: MpecProblem, spec: ResidualSpec) -> _Kernel:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from dataclasses import replace
@@ -93,9 +94,11 @@ class TestInnerMinimize:
         z = inner_minimize(bilevel, 2.0, SQ, z0, budget=5000)
         phi = penalized_objective(bilevel, z, 2.0, SQ)
         assert abs(phi) <= 1e-4
-        # coarse grid certificate that 0 is the box minimum at alpha = 2
+        # coarse grid certificate that 0 is the box minimum at alpha = 2,
+        # on the landscape whose values penalized_objective computes
+        land = landscape_from_problem(bilevel, SQ)
         pts = np.linspace(0.0, 2.0, 41)
-        best = min(penalized_objective(bilevel, KktPoint([x], [u], [l]), 2.0, SQ)
+        best = min(land.penalized(np.array([x, u, l]), 2.0, SQ.gamma)
                    for x in pts for u in pts for l in pts)
         assert best >= -1e-9
 
@@ -430,7 +433,6 @@ def _load_bench_instances():
 
 
 instances = _load_bench_instances()
-SCREEN_MARGIN = residuals._screen_margin
 FLOOR_MARGIN = residuals._floor_margin
 
 
@@ -580,6 +582,12 @@ def assert_charged(problem, spec):
     assert screened > 0
 
 
+def _in_group(setting, group):
+    if group == "tie":
+        return setting is not None and setting.endswith("-tie")
+    return setting is None or "-sq-" in setting
+
+
 def _degenerate_planted():
     return problem_from_dict(
         instances.planted_mpec(np.random.default_rng(5), 2, 3, degenerate=True)["doc"])
@@ -592,11 +600,10 @@ class TestCompassSweep:
         assert assert_same_sweeps(differential_cases()) > 1000
 
     def test_every_setting_screens(self, lcp_param):
-        z = default_start(lcp_param).to_z()
         for kind, norm, squared, gamma, _ in instances.RESIDUAL_SETTINGS:
             land = landscape_from_problem(lcp_param, ResidualSpec(kind, norm, gamma, squared))
-            screen = land.screen(z, _polls(land, z, _coordinate_polls(land.dim)))
-            assert isinstance(screen, residuals.RayScreen if squared else residuals.TrialFloor)
+            assert isinstance(land.screen, residuals.TrialFloor)
+            assert (land.screen.squared, land.screen.natural) == (squared, kind == "min")
         assert q5_toy_landscape().screen is None
 
     def test_screen_off_for_huge_data(self):
@@ -605,26 +612,42 @@ class TestCompassSweep:
         for spec in (SQ, ResidualSpec("min", "l1", 1.0), ResidualSpec("kkt", "l2", 0.5)):
             assert landscape_from_problem(problem_from_dict(doc), spec).screen is None
 
-    @pytest.mark.parametrize("margin", [lambda chain: 0.0,
-                                        lambda chain: -SCREEN_MARGIN(chain)],
-                             ids=["margin-0", "margin-flipped"])
-    def test_catches_an_unsafe_margin(self, margin, monkeypatch):
-        # without the rounding margin, the ray screen skips trials whose
+    @pytest.mark.parametrize("margin, group", [
+        (lambda chain: 0.0, "tie"), (lambda chain: -FLOOR_MARGIN(chain), "tie"),
+        (lambda chain: 0.0, "squared"), (lambda chain: -FLOOR_MARGIN(chain), "squared"),
+    ], ids=["margin-0", "margin-flipped", "margin-0-squared", "margin-flipped-squared"])
+    def test_catches_an_unsafe_floor_margin(self, margin, group, monkeypatch):
+        # without the rounding margin, the floor screens trials whose
         # computed value falls below phi by rounding alone, and the
-        # iterates part from the reference loop
-        monkeypatch.setattr(residuals, "_screen_margin", margin)
-        with pytest.raises(AssertionError):
-            assert_same_sweeps(differential_cases())
-
-    @pytest.mark.parametrize("margin", [lambda chain: 0.0,
-                                        lambda chain: -FLOOR_MARGIN(chain)],
-                             ids=["margin-0", "margin-flipped"])
-    def test_catches_an_unsafe_floor_margin(self, margin, monkeypatch):
-        # likewise for the trial floor of the min and norm kkt residuals,
-        # which the near-tie cases catch at rounding level
+        # iterates part from the reference loop.  Each group catches it on
+        # its own: the squared kkt cases (fixtures and generated) and the
+        # near ties of the min and norm kkt residuals.  The landscapes
+        # build their floors, so the margin is patched first.
         monkeypatch.setattr(residuals, "_floor_margin", margin)
+        cases = [case for case in differential_cases() if _in_group(case[0], group)]
         with pytest.raises(AssertionError):
-            assert_same_sweeps(differential_cases())
+            assert_same_sweeps(cases)
+
+    def test_floors_bound_clipped_squared_trials(self, lcp_param):
+        # from a start on the face y = 0, the sweeps clip rows that still
+        # move; the floor bounds the value at those trials as well
+        land = landscape_from_problem(lcp_param, SQ)
+        start = default_start(lcp_param).to_z()
+        iterates = []
+        _compass(land, 10.0, 0.5, start, 300, lambda z, phi: iterates.append(z))
+        clipped = 0
+        for z in iterates[:20]:
+            polls = _polls(land, z, _coordinate_polls(land.dim))
+            for step in (2.0, 0.5, 1e-3):
+                raw = z + step * polls
+                trials = np.clip(raw, land.lower, land.upper)
+                floors = land.screen.floors(trials, 10.0, 0.5)
+                rows = np.flatnonzero((trials != z).any(axis=1) & (trials != raw).any(axis=1))
+                for i in rows:
+                    assert np.isfinite(floors[i])
+                    assert floors[i] <= land.penalized(trials[i], 10.0, 0.5)
+                clipped += rows.size
+        assert clipped > 0
 
     @pytest.mark.parametrize("degenerate", [False, True])
     def test_screened_trials_are_charged(self, lcp_param, degenerate):
@@ -653,10 +676,27 @@ class TestCompassSweep:
         # the floors themselves: never above the value the landscape
         # computes at a moved trial, clipped ones included
         polls = _polls(land, z0, _coordinate_polls(land.dim))
-        screen = land.screen(z0, polls)
         for step in (2.0, 0.5, 1e-3, 1e-7):
-            raw = z0 + step * polls
-            trials = np.clip(raw, land.lower, land.upper)
-            floors = screen.floors(step, raw, trials, alpha, gamma)
+            trials = np.clip(z0 + step * polls, land.lower, land.upper)
+            floors = land.screen.floors(trials, alpha, gamma)
             for i in np.flatnonzero((trials != z0).any(axis=1)):
                 assert floors[i] <= land.penalized(trials[i], alpha, gamma)
+
+
+#: sha256 of the reports of the benchmark's first solve-mix block of seed 1:
+#: lcp-param and one generated instance per residual setting
+SOLVE_MIX_DIGEST = "ce03b9bacb6b58f5ecd1ae45836c63519854bded3a08ef690c389aaac0aaea4b"
+
+
+def test_generated_reports_keep_their_bits():
+    digest = hashlib.sha256()
+    for entry in instances.solve_mix(1, FIXTURES, 1)[0]:
+        conf = dict(entry["config"])
+        residual = conf.pop("residual")
+        spec = ResidualSpec(residual["kind"], residual["norm"], conf["gamma"],
+                            residual["squared_stationarity"])
+        land = landscape_from_problem(problem_from_dict(entry["doc"]), spec)
+        rep = run_continuation(land, PenaltyConfig(residual=spec, **conf),
+                               np.array(entry["start"]))
+        digest.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == SOLVE_MIX_DIGEST
