@@ -20,8 +20,6 @@ from .model import (
     LcpInstance,
     MpecProblem,
     QuadObjective,
-    build_lcp_mpec,
-    eval_F,
     parse_problem_file,
     problem_from_dict,
 )
@@ -29,8 +27,6 @@ from .residuals import (
     KINK_TOLERANCE,
     ResidualSpec,
     grad_penalized_sqrt,
-    kkt_residual,
-    kkt_residual_squared,
     min_dirderiv,
     min_residual,
     penalized_dirderiv,

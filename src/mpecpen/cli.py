@@ -69,36 +69,47 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=None,
                    help="penalty exponent in (0, 1]; defaults to the problem "
                         "file's exponent when it declares one, else 0.5")
-    p.add_argument("--alpha0", type=float, default=1.0, help="initial penalty weight")
-    p.add_argument("--growth", type=float, default=10.0, help="weight growth factor")
+    p.add_argument("--alpha0", type=float, default=None,
+                   help="initial penalty weight (default 1)")
+    p.add_argument("--growth", type=float, default=None,
+                   help="weight growth factor (default 10)")
     p.add_argument("--eps-feas", type=float, default=1e-8, help="feasibility tolerance")
     p.add_argument("--eps-stat", type=float, default=1e-6, help="stationarity tolerance")
     p.add_argument("--max-outer", type=int, default=12)
     p.add_argument("--max-inner", type=int, default=5000)
     p.add_argument("--norm", choices=("l1", "l2"), default="l2")
     p.add_argument("--residual", choices=("min", "product", "kkt"), default="kkt")
-    p.add_argument("--variant", choices=("squared", "norm"), default="squared",
-                   help="stationarity block of the kkt residual")
+    p.add_argument("--variant", choices=("squared", "norm"), default=None,
+                   help="stationarity block of the kkt residual (default squared)")
     p.add_argument("--start", type=str, default=None,
                    help="comma/space separated start: x, (x,y) or (x,y,lambda)")
     p.add_argument("--alpha-fixed", type=float, default=None,
                    help="freeze the penalty weight at this value")
 
 
-def _spec_from_args(args) -> ResidualSpec:
-    # --variant names the stationarity block of the kkt residual only
+def _spec_from_args(args, variant: str) -> ResidualSpec:
+    """The residual of --residual, --norm and --variant, whose default
+    ``variant`` depends on the subcommand."""
+    if args.variant is not None:
+        if args.residual != "kkt":
+            raise MpecError(f"--variant names a kkt residual's stationarity block; "
+                            f"the {args.residual} residual has none")
+        variant = args.variant
     return ResidualSpec(kind=args.residual, norm=args.norm,
-                        squared_stationarity=(args.residual == "kkt"
-                                              and args.variant == "squared"))
+                        squared_stationarity=args.residual == "kkt" and variant == "squared")
 
 
 def _config_from_args(args) -> PenaltyConfig:
     fixed = args.alpha_fixed is not None
-    return PenaltyConfig(alpha0=args.alpha_fixed if fixed else args.alpha0,
-                         growth=args.growth, eps_feas=args.eps_feas,
-                         eps_stat=args.eps_stat, max_outer=args.max_outer,
-                         max_inner=args.max_inner, gamma=args.gamma,
-                         residual=_spec_from_args(args), alpha_fixed=fixed)
+    if fixed and (args.alpha0 is not None or args.growth is not None):
+        raise MpecError("--alpha0 and --growth have no effect with --alpha-fixed")
+    # an omitted weight flag leaves the PenaltyConfig default
+    weights = {"alpha0": args.alpha_fixed if fixed else args.alpha0, "growth": args.growth}
+    return PenaltyConfig(**{k: v for k, v in weights.items() if v is not None},
+                         eps_feas=args.eps_feas, eps_stat=args.eps_stat,
+                         max_outer=args.max_outer, max_inner=args.max_inner,
+                         gamma=args.gamma, residual=_spec_from_args(args, "squared"),
+                         alpha_fixed=fixed)
 
 
 def _mpec_start(text: str | None, problem: MpecProblem) -> KktPoint | None:
@@ -160,7 +171,7 @@ def _cmd_residual(args) -> int:
     y = _parse_vector(args.y)
     z = (warm_point(problem, x, y) if args.lam is None
          else KktPoint(x, y, _parse_vector(args.lam)))
-    value = residual_value(problem, z, _spec_from_args(args))
+    value = residual_value(problem, z, _spec_from_args(args, "norm"))
     _emit({"kind": args.residual, "norm": args.norm, "value": value})
     return 0
 
@@ -229,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", default=None)
     p.add_argument("--residual", choices=("min", "product", "kkt"), default="kkt")
     p.add_argument("--norm", choices=("l1", "l2"), default="l2")
-    p.add_argument("--variant", choices=("squared", "norm"), default="norm")
+    p.add_argument("--variant", choices=("squared", "norm"), default=None,
+                   help="stationarity block of the kkt residual (default norm)")
     p.set_defaults(func=_cmd_residual)
 
     p = sub.add_parser("probe", help="error-bound probes: exponent fits, rays, baselines")

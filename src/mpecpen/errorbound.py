@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPolyhedron, TooFewSamples
+from .errors import DimensionMismatch, EmptyPolyhedron, TooFewSamples
 from .lcp_oracle import (SolutionSet, _index_sets, _solve_stack, distance_to_solution_set,
                          solve_lcp_enumerate)
 from .model import LcpInstance, _as_matrix, _as_vector
@@ -67,16 +67,23 @@ def sample_cloud(lcp: LcpInstance | None, box, count: int, seed: int = 0) -> lis
 def fit_exponent(samples) -> ErrorBoundEstimate:
     """Least-squares fit of log dist = log tau + gamma * log r.
 
-    Samples are (dist, r) pairs; pairs with dist <= 0 or r <= R_FLOOR are
-    dropped.  At least 10 usable pairs are required.
+    Samples are finite (dist, r) pairs; pairs with dist <= 0 or
+    r <= R_FLOOR are dropped.  At least 10 usable pairs are required, and
+    their residuals must not all take one value, which leaves the
+    exponent undetermined.
     """
-    used = [(float(d), float(r)) for d, r in samples if d > 0.0 and r > R_FLOOR]
+    pairs = [(float(d), float(r)) for d, r in samples]
+    if not all(math.isfinite(d) and math.isfinite(r) for d, r in pairs):
+        raise DimensionMismatch("samples contain non-finite entries")
+    used = [(d, r) for d, r in pairs if d > 0.0 and r > R_FLOOR]
     if len(used) < 10:
         raise TooFewSamples(f"need at least 10 usable samples, got {len(used)}")
     dists = np.array([d for d, _ in used])
     rs = np.array([r for _, r in used])
     logd = np.log(dists)
     logr = np.log(rs)
+    if logr.min() == logr.max():
+        raise TooFewSamples("the usable residuals all take one value: no exponent fits")
     design = np.column_stack([np.ones_like(logr), logr])
     coef, *_ = np.linalg.lstsq(design, logd, rcond=None)
     log_tau, gamma_hat = float(coef[0]), float(coef[1])
@@ -122,8 +129,7 @@ def ray_divergence_test(lcp: LcpInstance, base, direction, t_values,
         sols = solve_lcp_enumerate(lcp)
     else:
         pts = [_as_vector(p, "solution", size=lcp.order) for p in solutions]
-        sols = SolutionSet(points=pts, empty_flag=not pts,
-                           bases_explored=0, singular_bases=0)
+        sols = SolutionSet(points=pts)
     rows = []
     for t in t_values:
         z = base + t * direction

@@ -23,8 +23,8 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySolutionSet, NonUniqueSolution, TooLarge
-from .model import AffineParamMap, LcpInstance, _as_vector
+from .errors import EmptySolutionSet, NonUniqueSolution, TooLarge
+from .model import AffineParamMap, LcpInstance, _as_square, _as_vector
 from .rounding import U
 
 FEAS_TOL = 1e-10
@@ -42,9 +42,12 @@ class SolutionSet:
     """All isolated solutions of one LCP found by enumeration."""
 
     points: list[np.ndarray] = field(default_factory=list)
-    empty_flag: bool = True
     bases_explored: int = 0
     singular_bases: int = 0
+
+    @property
+    def empty_flag(self) -> bool:
+        return not self.points
 
 
 def _index_sets(m: int, first: int = 0):
@@ -142,13 +145,12 @@ def solve_lcp_enumerate(lcp: LcpInstance) -> SolutionSet:
                 if all(np.linalg.norm(y - p) > DEDUP_TOL for p in found):
                     found.append(y)
     found.sort(key=lambda p: tuple(p))
-    return SolutionSet(points=found, empty_flag=not found,
-                       bases_explored=explored, singular_bases=singular)
+    return SolutionSet(points=found, bases_explored=explored, singular_bases=singular)
 
 
 def distance_to_solution_set(z, sols: SolutionSet) -> float:
     """Euclidean distance from z to the nearest listed solution."""
-    if sols.empty_flag or not sols.points:
+    if sols.empty_flag:
         raise EmptySolutionSet("solution set is empty; distance is +inf")
     z = _as_vector(z, "z", size=sols.points[0].size)
     return min(float(np.linalg.norm(z - p)) for p in sols.points)
@@ -165,9 +167,7 @@ def parametric_solution_path(M, qmap: AffineParamMap, x_grid) -> list[tuple[np.n
 
 def is_P_matrix(M) -> bool:
     """True iff every principal minor of M is strictly positive."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"M must be square, got shape {M.shape}")
+    M = _as_square(M, "M")
     m = M.shape[0]
     if m > MAX_ORDER:
         raise TooLarge(f"principal-minor test limited to order {MAX_ORDER}, got {m}")
@@ -182,7 +182,7 @@ def estimate_lipschitz_modulus(path: list[tuple[np.ndarray, SolutionSet]]) -> fl
     single-valued solution path.  Zero for fewer than two distinct points."""
     points = []
     for x, sols in path:
-        if sols.empty_flag or len(sols.points) != 1:
+        if len(sols.points) != 1:
             raise NonUniqueSolution(
                 f"path is not single-valued at x = {np.asarray(x).tolist()}")
         points.append((np.atleast_1d(np.asarray(x, dtype=float)), sols.points[0]))

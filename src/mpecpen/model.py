@@ -37,6 +37,13 @@ def _as_matrix(a, name: str, rows: int | None = None, cols: int | None = None) -
     return arr
 
 
+def _as_square(a, name: str) -> np.ndarray:
+    arr = _as_matrix(a, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
+    return arr
+
+
 def _as_vector(a, name: str, size: int | None = None) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(a, dtype=float))
     if arr.ndim != 1:
@@ -56,9 +63,7 @@ class LcpInstance:
     q: np.ndarray
 
     def __post_init__(self):
-        M = _as_matrix(self.M, "M")
-        if M.shape[0] != M.shape[1]:
-            raise DimensionMismatch(f"M must be square, got shape {M.shape}")
+        M = _as_square(self.M, "M")
         q = _as_vector(self.q, "q", size=M.shape[0])
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "q", q)
@@ -113,10 +118,8 @@ class QuadObjective:
     const: float = 0.0
 
     def __post_init__(self):
-        xx = _as_matrix(self.xx, "objective.xx")
+        xx = _as_square(self.xx, "objective.xx")
         n = xx.shape[0]
-        if xx.shape[1] != n:
-            raise DimensionMismatch("objective.xx must be square")
         xy = _as_matrix(self.xy, "objective.xy", rows=n)
         m = xy.shape[1]
         yy = _as_matrix(self.yy, "objective.yy", rows=m, cols=m)
@@ -175,11 +178,6 @@ class KktPoint:
     def to_z(self) -> np.ndarray:
         return np.concatenate([self.x, self.y, self.lam])
 
-    @classmethod
-    def from_z(cls, z, n: int, m: int) -> "KktPoint":
-        z = _as_vector(z, "z", size=n + 2 * m)
-        return cls(z[:n], z[n:n + m], z[n + m:])
-
     def check_dims(self, problem: "MpecProblem") -> None:
         if self.x.size != problem.n or self.y.size != problem.m or self.lam.size != problem.m:
             raise DimensionMismatch(
@@ -199,10 +197,7 @@ class MpecProblem:
     multiplier_bound: float
 
     def __post_init__(self):
-        M = _as_matrix(self.M, "M")
-        if M.shape[0] != M.shape[1]:
-            raise DimensionMismatch(f"M must be square, got shape {M.shape}")
-        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "M", _as_square(self.M, "M"))
         n, m = self.n, self.m
         if n < 1 or m < 1:
             raise DimensionMismatch("both dimensions must be at least 1")
@@ -249,33 +244,25 @@ class MpecProblem:
         return self.objective.value(x, y)
 
     def F(self, x, y) -> np.ndarray:
-        return eval_F(self, x, y)
+        """The lower-level map F(x, y) = M y + q(x)."""
+        x = _as_vector(x, "x", size=self.n)
+        y = _as_vector(y, "y", size=self.m)
+        return self.M @ y + (self.qmap.Q @ x + self.qmap.q0)
 
     def lcp_at(self, x) -> LcpInstance:
         return LcpInstance(self.M, self.qmap(x))
 
     def split(self, z) -> KktPoint:
-        return KktPoint.from_z(z, self.n, self.m)
-
-
-def build_lcp_mpec(M, qmap: AffineParamMap, objective: QuadObjective,
-                   x_box, multiplier_bound: float) -> MpecProblem:
-    """Assemble and validate an MPEC from its parts."""
-    return MpecProblem(objective=objective, x_box=x_box, M=M, qmap=qmap,
-                       multiplier_bound=multiplier_bound)
-
-
-def eval_F(problem: MpecProblem, x, y) -> np.ndarray:
-    """The lower-level map F(x, y) = M y + q(x)."""
-    x = _as_vector(x, "x", size=problem.n)
-    y = _as_vector(y, "y", size=problem.m)
-    return problem.M @ y + (problem.qmap.Q @ x + problem.qmap.q0)
+        """z = (x, y, lambda) as a KktPoint."""
+        n, m = self.n, self.m
+        z = _as_vector(z, "z", size=n + 2 * m)
+        return KktPoint(z[:n], z[n:n + m], z[n + m:])
 
 
 def warm_point(problem: MpecProblem, x, y) -> KktPoint:
     """(x, y) with the multiplier warm-started at the slack clipped to
     [0, multiplier_bound]."""
-    return KktPoint(x, y, np.clip(eval_F(problem, x, y), 0.0, problem.multiplier_bound))
+    return KktPoint(x, y, np.clip(problem.F(x, y), 0.0, problem.multiplier_bound))
 
 
 # -- file format ---------------------------------------------------------
@@ -309,7 +296,7 @@ def problem_from_dict(doc: dict) -> MpecProblem:
             y_lin=obj_doc.get("y_lin", np.zeros(m)),
             const=obj_doc.get("const", 0.0),
         )
-        return build_lcp_mpec(M, qmap, objective, doc["x_box"], doc["multiplier_bound"])
+        return MpecProblem(objective, doc["x_box"], M, qmap, doc["multiplier_bound"])
     except SchemaError:
         raise
     except (DimensionMismatch, UnboundedBox, ValueError, TypeError) as exc:

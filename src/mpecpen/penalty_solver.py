@@ -260,7 +260,7 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
                      objective_slope=kernel.objective_slope,
                      as_point=as_point,
                      tangent_polls=tangent_polls,
-                     screen=kernel.trial_floor if kernel.screens() else None)
+                     screen=kernel.screen())
 
 
 def q5_toy_landscape() -> Landscape:

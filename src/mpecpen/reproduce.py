@@ -42,10 +42,10 @@ from .penalty_solver import (
 )
 from .residuals import (
     ResidualSpec,
-    kkt_residual,
     min_dirderiv,
     min_residual,
     penalized_objective,
+    residual_value,
 )
 
 _PROVENANCE_TAGS = {"paper", "trivial", "derived"}
@@ -269,11 +269,11 @@ def _run_addq1_residual(case: ReproCase, out: CaseResult) -> None:
             f"F={F.tolist()!r}")
     entry = case.expected["kkt_residual_l2"]
     z = KktPoint(entry["x"], entry["y"], entry["lambda"])
-    r = kkt_residual(prob, z, ResidualSpec("kkt", "l2", 0.5))
+    r = residual_value(prob, z, ResidualSpec("kkt", "l2", 0.5))
     out.add("kkt-residual", _close(r, entry["value"], case.tolerance), f"r={r!r}")
     entry = case.expected["feasible_residual"]
     z = KktPoint(entry["x"], entry["y"], entry["lambda"])
-    r = kkt_residual(prob, z, ResidualSpec("kkt", "l2", 0.5))
+    r = residual_value(prob, z, ResidualSpec("kkt", "l2", 0.5))
     out.add("feasible-residual", _close(r, entry["value"], case.tolerance), f"r={r!r}")
 
 

@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import rounding
-from .errors import AtKink, DimensionMismatch
-from .model import KktPoint, MpecProblem
+from .errors import AtKink
+from .model import KktPoint, MpecProblem, _as_vector
 
 KIND_MIN = "min"
 KIND_PRODUCT = "product"
@@ -66,8 +65,9 @@ class ResidualSpec:
     """Which residual to use, in which norm, with which penalty exponent.
 
     ``squared_stationarity`` selects the polynomial variant of the kkt
-    residual (squared stationarity block, raw complementarity products);
-    it only affects kind ``kkt``.
+    residual (squared stationarity block, raw complementarity products)
+    and is refused for the other kinds.  The kinds that read no norm, the
+    squared kkt variant and ``product``, take only the default l2.
     """
 
     kind: str = KIND_KKT
@@ -82,6 +82,11 @@ class ResidualSpec:
             raise ValueError(f"unknown norm {self.norm!r}")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
+        if self.squared_stationarity and self.kind != KIND_KKT:
+            raise ValueError(f"the squared variant is a kkt residual, not {self.kind}")
+        if self.norm != NORM_L2 and (self.squared_stationarity or self.kind == KIND_PRODUCT):
+            name = "squared kkt" if self.squared_stationarity else self.kind
+            raise ValueError(f"the {name} residual reads no norm; leave it at l2")
 
 
 def _norm(v: np.ndarray, norm: str) -> float:
@@ -93,11 +98,8 @@ def _norm(v: np.ndarray, norm: str) -> float:
 
 
 def _pair(y, w) -> tuple[np.ndarray, np.ndarray]:
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if y.shape != w.shape:
-        raise DimensionMismatch(f"y has shape {y.shape}, w has shape {w.shape}")
-    return y, w
+    y = _as_vector(y, "y")
+    return y, _as_vector(w, "w", size=y.size)
 
 
 def min_residual(y, w, norm: str = NORM_L2) -> float:
@@ -222,7 +224,7 @@ class TrialFloor:
     """Lower bounds on the computed penalized value at any compass trial,
     for the ``min``, norm kkt and squared kkt residuals.
 
-    Built once per kernel by ``_Kernel.trial_floor``.
+    Built by ``_Kernel.screen``.
     ``floors(trials, alpha, gamma)`` reads only the (k, dim) trials t of a
     sweep, clipped or not, and returns for every row a number
     L <= fl(f(t) + alpha * max(r(t), 0)**gamma), the value that
@@ -273,7 +275,7 @@ class TrialFloor:
        additions over the components and the one that adds the sum of the
        lambda_i y_i (whose terms pass through m + 1), at most
        2 (2 dim + 2) + 1 + m = 4 dim + m + 5 <= K; in the landscape
-       (``_Kernel.squared_residual``), whose s_i pass through at most
+       (``_Kernel.residual``), whose s_i pass through at most
        dim + 2, fewer.  So each computed r lies within gamma_K r~(|t|) of
        r(t) here too.
     3. So F - f_c(t) <= 2 gamma_K f~(|t|), where F is the batch's f and
@@ -415,30 +417,24 @@ class _Kernel:
         gx, gy = self.f.grad(x, y)
         return float(gx @ dx + gy @ dy)
 
-    def squared_residual(self, z: np.ndarray) -> float:
+    def residual(self, z: np.ndarray) -> float:
+        """The residual selected by spec.kind (and the kkt variant)."""
+        spec = self.spec
         x, y, lam = self._split(z)
-        return self._squared(self._F(x, y) - lam, y, lam)
-
-    def kkt_norm_residual(self, z: np.ndarray) -> float:
-        x, y, lam = self._split(z)
-        stat = _norm(self._F(x, y) - lam, self.spec.norm)
+        w = self._F(x, y)
+        if spec.kind == KIND_MIN:
+            return _norm(np.minimum(y, w), spec.norm)
+        if spec.kind == KIND_PRODUCT:
+            return float(y @ w)
+        if spec.squared_stationarity:
+            return self._squared(w - lam, y, lam)
+        # stationarity norm plus primal, dual and complementarity sums;
+        # |lambda_i y_i| is sign-safe at iterates with negative components
+        stat = _norm(w - lam, spec.norm)
         primal = float(np.sum(np.maximum(-y, 0.0)))
         dual = float(np.sum(np.maximum(-lam, 0.0)))
         comp = float(np.sum(np.abs(lam * y)))
         return stat + primal + dual + comp
-
-    def residual(self, z: np.ndarray) -> float:
-        """The residual selected by spec.kind (and the kkt variant)."""
-        spec = self.spec
-        if spec.kind == KIND_KKT:
-            if spec.squared_stationarity:
-                return self.squared_residual(z)
-            return self.kkt_norm_residual(z)
-        x, y, _ = self._split(z)
-        w = self._F(x, y)
-        if spec.kind == KIND_MIN:
-            return _norm(np.minimum(y, w), spec.norm)
-        return float(y @ w)
 
     def expansion(self, z: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
         """One-sided growth (r0, slope, curve) of the residual along z + t d,
@@ -513,19 +509,15 @@ class _Kernel:
 
     # -- compass screen ------------------------------------------------------
 
-    def screens(self) -> bool:
-        """Whether the compass screens trials: the min and kkt kinds, on
-        data and a box within ``_SCREEN_DATA_MAX``."""
-        if self.spec.kind == KIND_PRODUCT:
-            return False
+    def screen(self) -> TrialFloor | None:
+        """The compass screen (see ``TrialFloor``) of the min and kkt kinds
+        on data and a box within ``_SCREEN_DATA_MAX``; None otherwise."""
         f, (x_box, cap) = self.f, self._box
         parts = (self.M, self.Q, self.q0, f.xx, f.xy, f.yy, f.x_lin, f.y_lin, x_box,
                  np.array([f.const, cap]))
-        return max(float(np.max(np.abs(p), initial=0.0)) for p in parts) <= _SCREEN_DATA_MAX
-
-    @cached_property
-    def trial_floor(self) -> TrialFloor:
-        """The compass screen of the min and kkt residuals (see ``TrialFloor``)."""
+        if (self.spec.kind == KIND_PRODUCT
+                or max(float(np.max(np.abs(p), initial=0.0)) for p in parts) > _SCREEN_DATA_MAX):
+            return None
         return TrialFloor(self, _floor_margin(5 * (self.n + 2 * self.m) + 16))
 
 
@@ -550,36 +542,17 @@ def _check_alpha(alpha: float) -> None:
 
 def _checked_direction(problem: MpecProblem, z: KktPoint, d) -> np.ndarray:
     z.check_dims(problem)
-    d = np.asarray(d, dtype=float)
-    if d.size != problem.n + 2 * problem.m:
-        raise DimensionMismatch(f"direction must have length {problem.n + 2 * problem.m}")
-    return d
-
-
-def kkt_residual(problem: MpecProblem, z: KktPoint, spec: ResidualSpec | None = None) -> float:
-    """Stationarity norm plus primal/dual violation and complementarity sums.
-
-    Zero exactly when (x, y, lambda) is feasible for the one-level
-    reformulation.  The complementarity term is |lambda_i y_i|, which is
-    sign-safe for infeasible iterates with negative components.
-    """
-    z.check_dims(problem)
-    return _Kernel(problem, spec).kkt_norm_residual(z.to_z())
-
-
-def kkt_residual_squared(problem: MpecProblem, z: KktPoint) -> float:
-    """Polynomial variant: ||F(x,y) - lambda||^2 + sum lambda_i y_i.
-
-    A valid residual on the search box (where y, lambda >= 0); it can go
-    negative at points with negative components, so penalty evaluation
-    clamps at zero.
-    """
-    z.check_dims(problem)
-    return _Kernel(problem).squared_residual(z.to_z())
+    return _as_vector(d, "direction", size=problem.n + 2 * problem.m)
 
 
 def residual_value(problem: MpecProblem, z: KktPoint, spec: ResidualSpec) -> float:
-    """Dispatch on spec.kind (and the stationarity variant for kkt)."""
+    """The residual r(z) that ``spec`` selects (see the module docstring).
+
+    The norm kkt residual is zero exactly when (x, y, lambda) is feasible
+    for the one-level reformulation.  The squared variant is a residual on
+    the search box (y, lambda >= 0); it can go negative at points with
+    negative components, so penalty evaluation clamps it at zero.
+    """
     z.check_dims(problem)
     return _Kernel(problem, spec).residual(z.to_z())
 

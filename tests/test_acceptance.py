@@ -16,12 +16,11 @@ from mpecpen import (
     ResidualSpec,
     distance_to_solution_set,
     grad_penalized_sqrt,
-    kkt_residual,
-    kkt_residual_squared,
     min_dirderiv,
     min_residual,
     parametric_solution_path,
     penalized_objective,
+    residual_value,
     solve_lcp_enumerate,
 )
 from mpecpen.errorbound import (
@@ -202,7 +201,7 @@ def test_c08_gradient_check(lcp_param, bilevel, addq1):
         while checked < 100:
             zv = lo + rng.random(dim) * (hi - lo)
             z = p.split(zv)
-            if kkt_residual_squared(p, z) <= 1e-3:
+            if residual_value(p, z, SQ) <= 1e-3:
                 continue
             g = grad_penalized_sqrt(p, z, alpha)
             fd = np.zeros(dim)
@@ -210,9 +209,9 @@ def test_c08_gradient_check(lcp_param, bilevel, addq1):
                 zp = zv.copy(); zp[j] += h
                 zm = zv.copy(); zm[j] -= h
                 fp = (p.f_value(zp[:p.n], zp[p.n:p.n + p.m])
-                      + alpha * math.sqrt(kkt_residual_squared(p, p.split(zp))))
+                      + alpha * math.sqrt(residual_value(p, p.split(zp), SQ)))
                 fm = (p.f_value(zm[:p.n], zm[p.n:p.n + p.m])
-                      + alpha * math.sqrt(kkt_residual_squared(p, p.split(zm))))
+                      + alpha * math.sqrt(residual_value(p, p.split(zm), SQ)))
                 fd[j] = (fp - fm) / (2 * h)
             rel = float(np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd)))
             worst = max(worst, rel)
@@ -249,7 +248,7 @@ def test_c09_oracle_property_suite(lcp_param, bilevel, addq1):
                 pts = np.vstack([pts, np.concatenate([[xv], y, p.F([xv], y)])])
         for row in pts:
             z = p.split(row)
-            r = kkt_residual(p, z, spec)
+            r = residual_value(p, z, spec)
             s = p.F(z.x, z.y) - z.lam
             feas = (np.max(np.abs(s)) <= tol and np.min(z.y) >= -tol
                     and np.min(z.lam) >= -tol and np.max(np.abs(z.lam * z.y)) <= tol)

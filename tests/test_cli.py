@@ -247,6 +247,21 @@ class TestFlagValidation:
         ("solve", "fixtures/lcp-param.mpec", "--growth", "nan"),
         ("solve", "fixtures/lcp-param.mpec", "--alpha0", "nan"),
         ("solve", "fixtures/lcp-param.mpec", "--alpha-fixed", "inf"),
+        # flags that would change nothing: the squared kkt variant and the
+        # product read no norm, min and product have no stationarity
+        # variant, and a fixed weight neither starts nor grows
+        ("solve", "fixtures/lcp-param.mpec", "--norm", "l1"),
+        ("solve", "fixtures/lcp-param.mpec", "--variant", "squared", "--norm", "l1"),
+        ("solve", "fixtures/lcp-param.mpec", "--residual", "min", "--variant", "squared"),
+        ("solve", "fixtures/lcp-param.mpec", "--residual", "min", "--variant", "norm"),
+        ("residual", "fixtures/lcp-param.mpec", "--x", "1", "--y", "0 0",
+         "--residual", "product", "--norm", "l1"),
+        ("residual", "fixtures/lcp-param.mpec", "--x", "1", "--y", "0 0",
+         "--residual", "min", "--variant", "norm"),
+        ("residual", "fixtures/lcp-param.mpec", "--x", "1", "--y", "0 0",
+         "--variant", "squared", "--norm", "l1"),
+        ("solve", "fixtures/q5-toy.mpec", "--alpha-fixed", "2", "--alpha0", "3"),
+        ("solve", "fixtures/q5-toy.mpec", "--alpha-fixed", "2", "--growth", "5"),
     ])
     def test_bad_input_is_one_error_line(self, args):
         res = run_cli(*args)

@@ -85,6 +85,21 @@ class TestFitExponent:
         with pytest.raises(TooFewSamples):
             fit_exponent([(1.0, 1e-13)] * 20)
 
+    def test_one_residual_value_refused(self):
+        # a rank-deficient fit, whose lstsq minimum-norm answer is gamma_hat = 0.30
+        samples = [(0.1 * (i + 1), 0.5) for i in range(12)]
+        with pytest.raises(TooFewSamples, match="one value"):
+            fit_exponent(samples)
+
+    @pytest.mark.parametrize("bad", [(math.inf, 0.5), (1.0, math.nan), (math.nan, 0.0)],
+                             ids=["inf-distance", "nan-residual", "nan-distance"])
+    def test_non_finite_sample_refused(self, bad):
+        # one infinite distance would make every estimate NaN, and a NaN
+        # sample would be dropped without a word
+        samples = [(r, r) for r in np.logspace(-3.0, 0.0, 20)] + [bad]
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            fit_exponent(samples)
+
     def test_max_ratio_certificate(self):
         rng = np.random.default_rng(31)
         samples = [(float(r ** 0.7 * rng.uniform(0.5, 1.5)), float(r))

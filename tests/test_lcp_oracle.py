@@ -7,6 +7,7 @@ import pytest
 from mpecpen import lcp_oracle
 from mpecpen import (
     AffineParamMap,
+    DimensionMismatch,
     EmptySolutionSet,
     LcpInstance,
     NonUniqueSolution,
@@ -72,17 +73,22 @@ class TestEnumerate:
 
 class TestDistance:
     def test_member(self):
-        sols = SolutionSet(points=[np.array([0.5, 0.0])], empty_flag=False)
+        sols = SolutionSet(points=[np.array([0.5, 0.0])])
         assert distance_to_solution_set([0.5, 0.0], sols) == 0.0
 
     def test_nearest_of_two(self):
-        sols = SolutionSet(points=[np.array([1.0, 1.0]), np.array([0.0, 2.0])],
-                           empty_flag=False)
+        sols = SolutionSet(points=[np.array([1.0, 1.0]), np.array([0.0, 2.0])])
         assert distance_to_solution_set([10.0, 1.0], sols) == pytest.approx(9.0)
 
     def test_empty(self):
         with pytest.raises(EmptySolutionSet):
             distance_to_solution_set([0.0, 0.0], SolutionSet())
+
+    def test_emptiness_follows_the_points(self):
+        assert SolutionSet().empty_flag
+        assert not SolutionSet(points=[np.zeros(2)]).empty_flag
+        with pytest.raises(TypeError):
+            SolutionSet(points=[], empty_flag=False)
 
 
 class TestPath:
@@ -119,6 +125,13 @@ class TestPMatrix:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             is_P_matrix(np.eye(21))
+
+    @pytest.mark.parametrize("M", [[[np.nan]], [[np.inf, 0.0], [0.0, 1.0]], [1.0, 2.0]],
+                             ids=["nan", "inf", "vector"])
+    def test_bad_matrix_refused(self, M):
+        # a NaN minor fails "<= 0", so unchecked these would read as P-matrices
+        with pytest.raises(DimensionMismatch):
+            is_P_matrix(M)
 
     def test_uniqueness_on_random_p_matrices(self):
         rng = np.random.default_rng(23)

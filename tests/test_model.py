@@ -7,12 +7,11 @@ from mpecpen import (
     AffineParamMap,
     DimensionMismatch,
     KktPoint,
+    MpecProblem,
     ParseError,
     QuadObjective,
     SchemaError,
     UnboundedBox,
-    build_lcp_mpec,
-    eval_F,
     parse_problem_file,
     problem_from_dict,
 )
@@ -27,56 +26,56 @@ def q2_parts():
 class TestBuild:
     def test_parametric_lcp_problem(self):
         M, qmap, obj = q2_parts()
-        p = build_lcp_mpec(M, qmap, obj, [[0.0, 2.0]], 2.0)
+        p = MpecProblem(obj, [[0.0, 2.0]], M, qmap, 2.0)
         assert (p.n, p.m) == (1, 2)
         assert p.f_value([1.0], [0.5, 0.0]) == pytest.approx(1.0)
 
     def test_degenerate_identity_problem(self):
         qmap = AffineParamMap([[1.0]], [0.0])
         obj = QuadObjective.zeros(1, 1)
-        p = build_lcp_mpec([[1.0]], qmap, obj, [[0.0, 0.0]], 1.0)
+        p = MpecProblem(obj, [[0.0, 0.0]], [[1.0]], qmap, 1.0)
         assert (p.n, p.m) == (1, 1)
 
     def test_q_rows_mismatch(self):
         qmap = AffineParamMap(np.zeros((3, 1)), np.zeros(3))
         obj = QuadObjective.zeros(1, 2)
         with pytest.raises(DimensionMismatch):
-            build_lcp_mpec(np.eye(2), qmap, obj, [[0.0, 1.0]], 1.0)
+            MpecProblem(obj, [[0.0, 1.0]], np.eye(2), qmap, 1.0)
 
     def test_unbounded_box(self):
         M, qmap, obj = q2_parts()
         with pytest.raises(UnboundedBox):
-            build_lcp_mpec(M, qmap, obj, [[0.0, np.inf]], 2.0)
+            MpecProblem(obj, [[0.0, np.inf]], M, qmap, 2.0)
         with pytest.raises(UnboundedBox):
-            build_lcp_mpec(M, qmap, obj, [[1.0, 0.0]], 2.0)
+            MpecProblem(obj, [[1.0, 0.0]], M, qmap, 2.0)
 
     def test_bad_multiplier_bound(self):
         M, qmap, obj = q2_parts()
         with pytest.raises(ValueError):
-            build_lcp_mpec(M, qmap, obj, [[0.0, 2.0]], 0.0)
+            MpecProblem(obj, [[0.0, 2.0]], M, qmap, 0.0)
 
     def test_nonsquare_M(self):
         qmap = AffineParamMap(np.zeros((2, 1)), np.zeros(2))
         with pytest.raises(DimensionMismatch):
-            build_lcp_mpec(np.zeros((2, 3)), qmap, QuadObjective.zeros(1, 2), [[0, 1]], 1.0)
+            MpecProblem(QuadObjective.zeros(1, 2), [[0, 1]], np.zeros((2, 3)), qmap, 1.0)
 
 
 class TestEvalF:
     def test_affine_map_example(self, addq1):
-        assert np.allclose(eval_F(addq1, [1.0], [0.0, 1.0]), [0.0, 2.0])
+        assert np.allclose(addq1.F([1.0], [0.0, 1.0]), [0.0, 2.0])
 
     def test_zero_lower_variable_gives_qx(self, lcp_param):
         x = [1.3]
-        assert np.allclose(eval_F(lcp_param, x, [0.0, 0.0]), lcp_param.qmap(x))
+        assert np.allclose(lcp_param.F(x, [0.0, 0.0]), lcp_param.qmap(x))
 
     def test_complementary_point(self, lcp_param):
-        assert np.allclose(eval_F(lcp_param, [1.0], [0.5, 0.0]), [0.0, 0.0])
+        assert np.allclose(lcp_param.F([1.0], [0.5, 0.0]), [0.0, 0.0])
 
     def test_dimension_mismatch(self, lcp_param):
         with pytest.raises(DimensionMismatch):
-            eval_F(lcp_param, [1.0, 2.0], [0.0, 0.0])
+            lcp_param.F([1.0, 2.0], [0.0, 0.0])
         with pytest.raises(DimensionMismatch):
-            eval_F(lcp_param, [1.0], [0.0, 0.0, 0.0])
+            lcp_param.F([1.0], [0.0, 0.0, 0.0])
 
     def test_affinity(self, lcp_param, addq1):
         rng = np.random.default_rng(7)
@@ -85,7 +84,7 @@ class TestEvalF:
                 x = rng.normal(size=p.n)
                 y1 = rng.normal(size=p.m)
                 y2 = rng.normal(size=p.m)
-                lhs = eval_F(p, x, y1 + y2) - eval_F(p, x, y2)
+                lhs = p.F(x, y1 + y2) - p.F(x, y2)
                 rhs = p.M @ y1
                 scale = max(1.0, float(np.max(np.abs(rhs))))
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale

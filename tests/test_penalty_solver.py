@@ -14,9 +14,9 @@ from mpecpen import (
     AffineParamMap,
     DimensionMismatch,
     KktPoint,
+    MpecProblem,
     QuadObjective,
     ResidualSpec,
-    build_lcp_mpec,
     parametric_solution_path,
     parse_problem_file,
     penalized_objective,
@@ -131,7 +131,7 @@ class TestStationarity:
         qmap = AffineParamMap([[-1.0], [0.0]], [0.0, 0.0])
         obj = QuadObjective([[2.0]], np.zeros((1, 2)), 2.0 * np.eye(2),
                             [-2.0], [-1.0, -1.0], 0.0)
-        p = build_lcp_mpec(np.eye(2), qmap, obj, [[0.0, 2.0]], 2.0)
+        p = MpecProblem(obj, [[0.0, 2.0]], np.eye(2), qmap, 2.0)
         z = KktPoint([1.0], [0.5, 0.5], [1.0, 1.0])
         assert check_stationarity(p, z, 0.0, SQ) == 0.0
         # and a non-stationary interior point reports the descent rate

@@ -8,10 +8,7 @@ from mpecpen import (
     DimensionMismatch,
     KktPoint,
     ResidualSpec,
-    eval_F,
     grad_penalized_sqrt,
-    kkt_residual,
-    kkt_residual_squared,
     min_dirderiv,
     min_residual,
     penalized_objective,
@@ -42,6 +39,12 @@ class TestMinResidual:
         with pytest.raises(DimensionMismatch):
             min_residual([1.0], [1.0, 2.0])
 
+    def test_non_finite_or_matrix_pair_refused(self):
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            min_residual([np.nan, 1.0], [1.0, 2.0])
+        with pytest.raises(DimensionMismatch, match="one-dimensional"):
+            min_residual(np.ones((2, 2)), np.ones((2, 2)))
+
 
 class TestProductResidual:
     def test_example(self):
@@ -55,27 +58,31 @@ class TestProductResidual:
         with pytest.raises(DimensionMismatch):
             product_residual([1.0], [1.0, 2.0])
 
+    def test_non_finite_pair_refused(self):
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            product_residual([np.inf], [0.0])
+
 
 class TestKktResidual:
     def test_stationarity_only(self, addq1):
         z = KktPoint([1.0], [0.0, 1.0], [0.0, 0.0])
-        assert kkt_residual(addq1, z, ResidualSpec("kkt", "l2", 0.5)) == pytest.approx(2.0)
+        assert residual_value(addq1, z, ResidualSpec("kkt", "l2", 0.5)) == pytest.approx(2.0)
 
     def test_feasible_triple_is_zero(self, lcp_param):
         z = KktPoint([1.0], [0.5, 0.0], [0.0, 0.0])
-        assert kkt_residual(lcp_param, z, ResidualSpec("kkt", "l2", 0.5)) == 0.0
+        assert residual_value(lcp_param, z, ResidualSpec("kkt", "l2", 0.5)) == 0.0
 
     def test_l1_with_primal_violation(self, lcp_param):
         z = KktPoint([1.0], [-1.0, 0.0], [0.0, 0.0])
-        assert kkt_residual(lcp_param, z, ResidualSpec("kkt", "l1", 0.5)) == pytest.approx(4.0)
+        assert residual_value(lcp_param, z, ResidualSpec("kkt", "l1", 0.5)) == pytest.approx(4.0)
 
     def test_norm_monotonicity(self, lcp_param, addq1):
         rng = np.random.default_rng(11)
         for p in (lcp_param, addq1):
             for _ in range(200):
                 z = p.split(rng.uniform(-2, 3, size=p.n + 2 * p.m))
-                r2 = kkt_residual(p, z, ResidualSpec("kkt", "l2", 0.5))
-                r1 = kkt_residual(p, z, ResidualSpec("kkt", "l1", 0.5))
+                r2 = residual_value(p, z, ResidualSpec("kkt", "l2", 0.5))
+                r1 = residual_value(p, z, ResidualSpec("kkt", "l1", 0.5))
                 assert r2 <= r1 + 1e-12
 
     def test_nonnegativity(self, lcp_param):
@@ -84,12 +91,11 @@ class TestKktResidual:
             z = lcp_param.split(rng.uniform(-3, 3, size=5))
             for spec in (ResidualSpec("kkt", "l1", 0.5), ResidualSpec("kkt", "l2", 0.5),
                          ResidualSpec("min", "l2", 0.5)):
-                from mpecpen import residual_value
                 assert residual_value(lcp_param, z, spec) >= 0.0
             # product residual is only nonnegative on the orthant pairs
             y = rng.uniform(0, 2, size=2)
             x = rng.uniform(0, 2, size=1)
-            w = eval_F(lcp_param, x, y)
+            w = lcp_param.F(x, y)
             if np.all(w >= 0):
                 assert product_residual(y, w) >= 0.0
 
@@ -109,8 +115,8 @@ class TestKktResidual:
                     pts = np.vstack([pts, np.concatenate([[xv], y, lam])])
             for row in pts:
                 z = p.split(row)
-                r = kkt_residual(p, z, spec)
-                s = eval_F(p, z.x, z.y) - z.lam
+                r = residual_value(p, z, spec)
+                s = p.F(z.x, z.y) - z.lam
                 feas = (np.max(np.abs(s)) <= tol and np.min(z.y) >= -tol
                         and np.min(z.lam) >= -tol
                         and np.max(np.abs(z.lam * z.y)) <= tol)
@@ -262,6 +268,18 @@ class TestExpansionAndSlopes:
         assert power_slope(0.0, 0.0, 9.0, 0.75) == 0.0
         assert power_slope(0.0, 0.0, 9.0, 0.25) == math.inf
 
+    @pytest.mark.parametrize("d", [[np.nan, 0.0, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0, 0.0],
+                                   np.ones((5, 1))], ids=["nan", "inf", "column"])
+    def test_bad_direction_refused(self, lcp_param, d):
+        # unchecked, a NaN direction would give a NaN derivative, an
+        # infinite one a NaN or infinite slope, a (5, 1) one a TypeError
+        z = KktPoint([1.0], [0.5, 0.0], [0.0, 0.0])
+        for spec in (SQ, ResidualSpec("min", "l1", 0.5)):
+            with pytest.raises(DimensionMismatch, match="direction"):
+                penalized_dirderiv(lcp_param, z, d, 1.0, spec)
+            with pytest.raises(DimensionMismatch, match="direction"):
+                residual_expansion(lcp_param, z, d, spec)
+
     def test_penalized_dirderiv_at_origin(self, bilevel):
         origin = KktPoint([0.0], [0.0], [0.0])
         up = np.array([0.0, 1.0, 0.0])
@@ -285,7 +303,7 @@ class TestGradPenalizedSqrt:
         x, u = 0.0, 0.8
         lam = u - x
         z = KktPoint([x], [u], [lam])
-        r = kkt_residual_squared(bilevel, z)
+        r = residual_value(bilevel, z, SQ)
         assert r == pytest.approx(lam * u)
         g = grad_penalized_sqrt(bilevel, z, 2.0)
         fy = -1.0
@@ -303,7 +321,7 @@ class TestGradPenalizedSqrt:
             while checked < 30:
                 zv = lo + rng.random(dim) * (hi - lo)
                 z = p.split(zv)
-                r = kkt_residual_squared(p, z)
+                r = residual_value(p, z, SQ)
                 if r <= 1e-3:
                     continue
                 g = grad_penalized_sqrt(p, z, alpha)
@@ -312,9 +330,9 @@ class TestGradPenalizedSqrt:
                     zp = zv.copy(); zp[j] += h
                     zm = zv.copy(); zm[j] -= h
                     fp = p.f_value(zp[:p.n], zp[p.n:p.n + p.m]) + alpha * math.sqrt(
-                        kkt_residual_squared(p, p.split(zp)))
+                        residual_value(p, p.split(zp), SQ))
                     fm = p.f_value(zm[:p.n], zm[p.n:p.n + p.m]) + alpha * math.sqrt(
-                        kkt_residual_squared(p, p.split(zm)))
+                        residual_value(p, p.split(zm), SQ))
                     fd[j] = (fp - fm) / (2 * h)
                 rel = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd))
                 assert rel <= 1e-6
@@ -330,6 +348,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ResidualSpec("kkt", "sup", 0.5)
 
+    @pytest.mark.parametrize("kind, norm, squared", [
+        ("min", "l2", True), ("product", "l2", True),
+        ("kkt", "l1", True), ("product", "l1", False)])
+    def test_flags_a_kind_does_not_read(self, kind, norm, squared):
+        # the squared variant exists for kkt only, and neither it nor the
+        # product reads a norm
+        with pytest.raises(ValueError):
+            ResidualSpec(kind, norm, 0.5, squared_stationarity=squared)
+
     def test_gamma_range(self):
         with pytest.raises(ValueError):
             ResidualSpec("kkt", "l2", 0.0)
@@ -340,7 +367,7 @@ class TestSpecValidation:
         # y'w < 0 at this point; the penalty clamps at zero instead of
         # producing a complex power
         z = KktPoint([2.0], [0.5, 1.0], [0.0, 0.0])
-        w = eval_F(lcp_param, z.x, z.y)
+        w = lcp_param.F(z.x, z.y)
         assert product_residual(z.y, w) < 0.0
         spec = ResidualSpec("product", "l2", 0.5)
         assert penalized_objective(lcp_param, z, 3.0, spec) == pytest.approx(
