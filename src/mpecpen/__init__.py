@@ -6,7 +6,6 @@ from .errors import (
     EmptyPolyhedron,
     EmptySolutionSet,
     MpecError,
-    NonUniqueSolution,
     ParseError,
     SchemaError,
     TooFewSamples,
@@ -37,7 +36,6 @@ from .residuals import (
 from .lcp_oracle import (
     SolutionSet,
     distance_to_solution_set,
-    estimate_lipschitz_modulus,
     is_P_matrix,
     parametric_solution_path,
     solve_lcp_enumerate,

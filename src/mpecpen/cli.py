@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -95,8 +96,12 @@ def _spec_from_args(args, variant: str) -> ResidualSpec:
             raise MpecError(f"--variant names a kkt residual's stationarity block; "
                             f"the {args.residual} residual has none")
         variant = args.variant
-    return ResidualSpec(kind=args.residual, norm=args.norm,
-                        squared_stationarity=args.residual == "kkt" and variant == "squared")
+    squared = args.residual == "kkt" and variant == "squared"
+    if args.norm != "l2" and (squared or args.residual == "product"):
+        unread = ("the squared kkt residual; it counts with --variant norm" if squared
+                  else "the product residual")
+        raise MpecError(f"--norm {args.norm} reads nothing in {unread}")
+    return ResidualSpec(kind=args.residual, norm=args.norm, squared_stationarity=squared)
 
 
 def _config_from_args(args) -> PenaltyConfig:
@@ -263,7 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop without a word, and point stdout at
+        # devnull so that the interpreter's exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except args.input_errors as exc:
         return _fail(f"{args.error_prefix}{exc}")
 

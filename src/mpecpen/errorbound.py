@@ -120,7 +120,7 @@ def ray_divergence_test(lcp: LcpInstance, base, direction, t_values,
     set; that is needed when the enumerated set is empty, in which case
     distances are +inf by construction and only noted.
     """
-    t_values = [float(t) for t in t_values]
+    t_values = _as_vector(t_values, "t_values").tolist()
     if not t_values or any(b <= a for a, b in zip(t_values, t_values[1:])):
         raise ValueError("t_values must be nonempty and strictly increasing")
     base = _as_vector(base, "base", size=lcp.order)

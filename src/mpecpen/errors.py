@@ -29,10 +29,6 @@ class EmptySolutionSet(MpecError):
     """Distance to an empty solution set is undefined (treat as +inf)."""
 
 
-class NonUniqueSolution(MpecError):
-    """An operation requiring single-valued solutions met a multi-valued one."""
-
-
 class AtKink(MpecError):
     """Gradient requested at a point where the penalty is not differentiable."""
 

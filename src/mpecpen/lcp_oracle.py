@@ -9,8 +9,8 @@ calibrate the penalty machinery.
 The index sets are enumerated by size, each size in
 ``itertools.combinations`` order and in chunks whose work arrays stay
 within a fixed memory budget; each chunk takes one batched
-``np.linalg.solve`` (or ``det`` for the P-matrix test).  Batching changes
-no bits: each basis gets the same LAPACK call and the same residual
+``np.linalg.solve`` (or ``slogdet`` for the P-matrix test).  Batching
+changes no bits: each basis gets the same LAPACK call and the same residual
 product it would get alone, and the vectorised feasibility screen only
 preselects, with a rounding margin, the candidates that the per-basis
 checks then confirm in enumeration order.
@@ -23,7 +23,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .errors import EmptySolutionSet, NonUniqueSolution, TooLarge
+from .errors import EmptySolutionSet, TooLarge
 from .model import AffineParamMap, LcpInstance, _as_square, _as_vector
 from .rounding import U
 
@@ -77,19 +77,21 @@ def _passes_checks(y: np.ndarray, w: np.ndarray) -> bool:
 def _solve_stack(subs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Row j solves subs[j] y = rhs[j], where rhs[j] is a vector or, for
     several right-hand sides at once, a matrix; rows of exactly singular
-    submatrices are NaN.  A stack holding one is split in halves until the
-    singular submatrices stand alone, so every other row still comes from
-    the same LAPACK call it would get by itself."""
+    submatrices are NaN.  LAPACK's gesv refuses the whole stack when the LU
+    of one submatrix meets an exactly zero pivot, which is when slogdet,
+    from the same LU, reads sign 0; the other rows then take one more
+    batched solve, so every row still comes from the same LAPACK call it
+    would get by itself."""
+    column = rhs.ndim < subs.ndim
+    if column:
+        rhs = rhs[..., None]
     try:
-        if rhs.ndim == subs.ndim:
-            return np.linalg.solve(subs, rhs)
-        return np.linalg.solve(subs, rhs[..., None])[..., 0]
+        out = np.linalg.solve(subs, rhs)
     except np.linalg.LinAlgError:
-        if len(subs) == 1:
-            return np.full(rhs.shape, np.nan)
-        half = len(subs) // 2
-        return np.concatenate([_solve_stack(subs[:half], rhs[:half]),
-                               _solve_stack(subs[half:], rhs[half:])])
+        regular = np.linalg.slogdet(subs).sign != 0
+        out = np.full(rhs.shape, np.nan)
+        out[regular] = np.linalg.solve(subs[regular], rhs[regular])
+    return out[..., 0] if column else out
 
 
 def _screen_chunk(M: np.ndarray, q: np.ndarray, idx: np.ndarray):
@@ -171,28 +173,9 @@ def is_P_matrix(M) -> bool:
     m = M.shape[0]
     if m > MAX_ORDER:
         raise TooLarge(f"principal-minor test limited to order {MAX_ORDER}, got {m}")
+    # the sign of each minor is read from its LU, whose pivots are never
+    # multiplied out, so no determinant can underflow to 0 or overflow
     for idx in _index_sets(m, first=1):
-        if np.any(np.linalg.det(_principal_submatrices(M, idx)) <= 0.0):
+        if np.any(np.linalg.slogdet(_principal_submatrices(M, idx)).sign <= 0.0):
             return False
     return True
-
-
-def estimate_lipschitz_modulus(path: list[tuple[np.ndarray, SolutionSet]]) -> float:
-    """Max slope ||y(x1) - y(x2)|| / ||x1 - x2|| over all grid pairs of a
-    single-valued solution path.  Zero for fewer than two distinct points."""
-    points = []
-    for x, sols in path:
-        if len(sols.points) != 1:
-            raise NonUniqueSolution(
-                f"path is not single-valued at x = {np.asarray(x).tolist()}")
-        points.append((np.atleast_1d(np.asarray(x, dtype=float)), sols.points[0]))
-    best = 0.0
-    for i in range(len(points)):
-        xi, yi = points[i]
-        for j in range(i + 1, len(points)):
-            xj, yj = points[j]
-            dx = float(np.linalg.norm(xi - xj))
-            if dx == 0.0:
-                continue
-            best = max(best, float(np.linalg.norm(yi - yj)) / dx)
-    return best

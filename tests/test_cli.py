@@ -52,6 +52,19 @@ def test_child_process_matches_in_process():
             (inproc.returncode, inproc.stdout, inproc.stderr)
 
 
+def test_closed_stdout_ends_quietly():
+    # 4000 rows overrun the pipe and both stream buffers, so the child is
+    # still writing when the reader goes away after the first line
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mpecpen", "probe", "--fixture", "lcp-q2", "--count", "4000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT)
+    assert child.stdout.readline() == b"id\tresidual\tdistance\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(), err) == (1, b"")
+
+
 class TestSolve:
     def test_feasible_exit_zero(self):
         res = run_cli("solve", "fixtures/lcp-param.mpec", "--gamma", "0.5", "--alpha0", "1")
@@ -269,6 +282,8 @@ class TestFlagValidation:
         assert res.stdout == ""
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+        if "--norm" in args:
+            assert "--norm" in lines[0]
 
     def test_unknown_toy_is_named(self, tmp_path):
         toy = tmp_path / "toy.mpec"

@@ -152,6 +152,14 @@ class TestRayDivergence:
         with pytest.raises(ValueError):
             ray_divergence_test(Q1_LCP, [0.0, 1.0], [1.0, 0.0], [2.0, 1.0])
 
+    @pytest.mark.parametrize("t_values", [[1.0, math.nan], [1.0, math.inf], [math.nan]],
+                             ids=["nan", "inf", "lone-nan"])
+    def test_non_finite_t_values_named(self, t_values):
+        # a NaN passes the ordering check; unchecked, the ray failed later
+        # in LcpInstance.slack with a message naming y
+        with pytest.raises(DimensionMismatch, match="t_values"):
+            ray_divergence_test(Q1_LCP, [0.0, 1.0], [1.0, 0.0], t_values)
+
 
 class TestProjection:
     def test_halfspace(self):

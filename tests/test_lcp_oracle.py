@@ -1,4 +1,4 @@
-import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -10,11 +10,9 @@ from mpecpen import (
     DimensionMismatch,
     EmptySolutionSet,
     LcpInstance,
-    NonUniqueSolution,
     SolutionSet,
     TooLarge,
     distance_to_solution_set,
-    estimate_lipschitz_modulus,
     is_P_matrix,
     min_residual,
     parametric_solution_path,
@@ -126,6 +124,15 @@ class TestPMatrix:
         with pytest.raises(TooLarge):
             is_P_matrix(np.eye(21))
 
+    def test_minor_signs_survive_any_scale(self):
+        # every minor of s I_14 is s^k: 1e-350 underflows a determinant to
+        # 0 and 1e350 overflows it, while their LU pivots stay s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_P_matrix(1e-25 * np.eye(14))
+            assert is_P_matrix(1e25 * np.eye(14))
+            assert not is_P_matrix(-1e-25 * np.eye(3))
+
     @pytest.mark.parametrize("M", [[[np.nan]], [[np.inf, 0.0], [0.0, 1.0]], [1.0, 2.0]],
                              ids=["nan", "inf", "vector"])
     def test_bad_matrix_refused(self, M):
@@ -161,32 +168,6 @@ class TestPMatrix:
                 delta *= rng.uniform(1e-3, 1.0) / np.linalg.norm(delta)
                 yp = y + delta
                 assert min_residual(yp, lcp.slack(yp), "l2") > 1e-6
-
-
-class TestLipschitz:
-    def test_q2_path_modulus(self):
-        grid = [[x] for x in np.linspace(0.0, 2.0, 101)]
-        path = parametric_solution_path(Q2_M, Q2_MAP, grid)
-        mod = estimate_lipschitz_modulus(path)
-        # exact piecewise slopes: 1/2 on [0,1], sqrt(5)/2 on [1,2]
-        assert mod == pytest.approx(math.sqrt(5.0) / 2.0, abs=1e-9)
-        gamma_f = np.linalg.norm(Q2_MAP.Q, 2)
-        c = float(np.min(np.linalg.eigvalsh(0.5 * (Q2_M + Q2_M.T))))
-        assert mod <= gamma_f / c + 1e-12
-
-    def test_constant_path(self):
-        qmap = AffineParamMap(np.zeros((1, 1)), [1.0])
-        path = parametric_solution_path(np.eye(1), qmap, [[0.0], [1.0], [2.0]])
-        assert estimate_lipschitz_modulus(path) == 0.0
-
-    def test_single_point(self):
-        path = parametric_solution_path(Q2_M, Q2_MAP, [[1.0]])
-        assert estimate_lipschitz_modulus(path) == 0.0
-
-    def test_non_unique_rejected(self):
-        path = [(np.array([0.0]), SolutionSet())]
-        with pytest.raises(NonUniqueSolution):
-            estimate_lipschitz_modulus(path)
 
 
 # -- differential test against the one-call-per-basis enumeration ---------
@@ -311,3 +292,52 @@ def test_P_test_matches_per_minor_loop(chunk_bytes, monkeypatch):
     answers = [is_P_matrix(M) for M in mats]
     assert answers == [reference_is_P(M) for M in mats]
     assert any(answers) and not all(answers)
+
+
+@pytest.mark.parametrize("matrix_rhs", [False, True], ids=["vector", "matrix"])
+def test_solve_stack_marks_only_the_rows_gesv_refuses(matrix_rhs, monkeypatch):
+    rng = np.random.default_rng(5)
+    subs = []
+    for j in range(40):
+        A = rng.normal(size=(4, 4))
+        if j % 4 == 1:
+            A[rng.integers(4)] = 0.0   # a zero row: a zero pivot, exactly
+        elif j % 4 == 2:
+            A = rng.integers(-1, 2, size=(4, 2)) @ rng.integers(-1, 2, size=(2, 4))
+            A = A.astype(float)        # rank 2 or less in small integers
+        elif j % 4 == 3:
+            A = rng.normal(size=(4, 2)) @ rng.normal(size=(2, 4))
+        subs.append(A)
+    subs = np.array(subs)
+    rhs = rng.normal(size=(40, 4, 3) if matrix_rhs else (40, 4))
+    solve = np.linalg.solve
+    expected = []
+    for A, b in zip(subs, rhs):
+        try:
+            expected.append(solve(A, b))
+        except np.linalg.LinAlgError:
+            expected.append(None)
+    refused = [e is None for e in expected]
+    # zero rows are refused, regular matrices pass, and rank-deficient
+    # ones go either way: refused on an exact zero pivot, else solved
+    assert all(refused[1::4]) and not any(refused[0::4])
+    assert 0 < sum(refused[3::4]) < 10
+
+    calls = {"solve": 0, "slogdet": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", solve))
+    monkeypatch.setattr(np.linalg, "slogdet", counted("slogdet", np.linalg.slogdet))
+    got = lcp_oracle._solve_stack(subs, rhs)
+    assert calls["solve"] <= 2 and calls["slogdet"] <= 1
+    assert got.shape == rhs.shape
+    for row, want in zip(got, expected):
+        if want is None:
+            assert np.isnan(row).all()
+        else:
+            assert row.tobytes() == want.tobytes()
