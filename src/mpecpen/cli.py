@@ -78,8 +78,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-stat", type=float, default=1e-6, help="stationarity tolerance")
     p.add_argument("--max-outer", type=int, default=12)
     p.add_argument("--max-inner", type=int, default=5000)
-    p.add_argument("--norm", choices=("l1", "l2"), default="l2")
-    p.add_argument("--residual", choices=("min", "product", "kkt"), default="kkt")
+    p.add_argument("--norm", choices=("l1", "l2"), default=None, help="(default l2)")
+    p.add_argument("--residual", choices=("min", "product", "kkt"), default=None,
+                   help="(default kkt)")
     p.add_argument("--variant", choices=("squared", "norm"), default=None,
                    help="stationarity block of the kkt residual (default squared)")
     p.add_argument("--start", type=str, default=None,
@@ -89,19 +90,20 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args, variant: str) -> ResidualSpec:
-    """The residual of --residual, --norm and --variant, whose default
-    ``variant`` depends on the subcommand."""
+    """The residual of --residual (default kkt), --norm (default l2) and
+    --variant, whose default ``variant`` depends on the subcommand."""
+    kind, norm = args.residual or "kkt", args.norm or "l2"
     if args.variant is not None:
-        if args.residual != "kkt":
+        if kind != "kkt":
             raise MpecError(f"--variant names a kkt residual's stationarity block; "
-                            f"the {args.residual} residual has none")
+                            f"the {kind} residual has none")
         variant = args.variant
-    squared = args.residual == "kkt" and variant == "squared"
-    if args.norm != "l2" and (squared or args.residual == "product"):
+    squared = kind == "kkt" and variant == "squared"
+    if norm != "l2" and (squared or kind == "product"):
         unread = ("the squared kkt residual; it counts with --variant norm" if squared
                   else "the product residual")
-        raise MpecError(f"--norm {args.norm} reads nothing in {unread}")
-    return ResidualSpec(kind=args.residual, norm=args.norm, squared_stationarity=squared)
+        raise MpecError(f"--norm {norm} reads nothing in {unread}")
+    return ResidualSpec(kind=kind, norm=norm, squared_stationarity=squared)
 
 
 def _config_from_args(args) -> PenaltyConfig:
@@ -139,20 +141,26 @@ def _cmd_solve(args) -> int:
         if gamma is not None and type(gamma) not in (int, float):
             raise SchemaError(f"{args.problem}: gamma must be a number, got {gamma!r}")
         args.gamma = 0.5 if gamma is None else float(gamma)
-    config = _config_from_args(args)
     toy = doc.get("toy")
-    if toy == "q5-infeasible":
+    if toy is None:
+        config = _config_from_args(args)
+        problem = problem_from_dict(doc)
+        report = penalty_continuation(problem, config, _mpec_start(args.start, problem))
+    else:
+        if toy != "q5-infeasible":
+            raise SchemaError(f"unknown toy {toy!r} (known: q5-infeasible)")
+        unread = [flag for flag in ("residual", "variant", "norm")
+                  if getattr(args, flag) is not None]
+        if unread:
+            raise MpecError(f"the q5 toy has no lower level and reads no residual; "
+                            f"drop {', '.join('--' + flag for flag in unread)}")
+        config = _config_from_args(args)
         # a landscape without a lower level: --start is the whole point,
         # checked by run_continuation; the default is the box midpoint
         land = q5_toy_landscape()
         z0 = (0.5 * (land.lower + land.upper) if args.start is None
               else _parse_vector(args.start))
         report = run_continuation(land, config, z0)
-    elif toy is not None:
-        raise SchemaError(f"unknown toy {toy!r} (known: q5-infeasible)")
-    else:
-        problem = problem_from_dict(doc)
-        report = penalty_continuation(problem, config, _mpec_start(args.start, problem))
     _emit(report.to_dict())
     return _EXIT_BY_CLASS[report.classification]
 

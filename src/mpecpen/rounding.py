@@ -11,11 +11,15 @@ times the same sum of absolute values of its exact value (sec. 3.1 and
 eq. 3.5); a dot product of length k is the standard case.  The
 enumeration and projection screens and the compass screen, which bounds
 every trial of the min, norm kkt and squared kkt residuals, each derive
-their margins from this one bound.
+their margins from this one bound, and the P-matrix certificate of
+``lcp_oracle`` its shift.
 """
 
 #: unit roundoff of IEEE double precision
 U = 2.0 ** -53
+#: the smallest positive subnormal double: a product or quotient that
+#: underflows lies within ETA of its exact value instead of within u of it
+ETA = 2.0 ** -1074
 
 
 def gamma(k: int) -> float:

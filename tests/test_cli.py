@@ -285,6 +285,20 @@ class TestFlagValidation:
         if "--norm" in args:
             assert "--norm" in lines[0]
 
+    @pytest.mark.parametrize("flags", [
+        ("--residual", "min"), ("--residual", "kkt"), ("--variant", "norm"),
+        ("--norm", "l1"), ("--residual", "min", "--norm", "l1"),
+    ])
+    def test_toy_refuses_the_residual_flags_it_never_reads(self, flags):
+        # the toy's landscape has no lower level, so a residual flag would
+        # only be echoed in a report that no such residual produced
+        res = run_cli("solve", "fixtures/q5-toy.mpec", "--start", "0.1", *flags)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+        assert all(flag in lines[0] for flag in flags[::2])
+
     def test_unknown_toy_is_named(self, tmp_path):
         toy = tmp_path / "toy.mpec"
         toy.write_text('{"toy": "q6"}')

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from mpecpen import (
     parametric_solution_path,
     solve_lcp_enumerate,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 Q2_M = np.array([[2.0, 0.0], [0.0, 1.0]])
 Q2_MAP = AffineParamMap([[-1.0], [-1.0]], [0.0, 1.0])
@@ -341,3 +347,121 @@ def test_solve_stack_marks_only_the_rows_gesv_refuses(matrix_rhs, monkeypatch):
             assert np.isnan(row).all()
         else:
             assert row.tobytes() == want.tobytes()
+
+
+# -- the positive-definiteness certificate of the P-test ------------------
+
+def unit_triangular(seed, m, scale=10.0):
+    """Every principal submatrix is unit triangular, so every minor is 1,
+    while entries of this size leave the symmetric part indefinite."""
+    rng = np.random.default_rng(seed)
+    T = np.eye(m) + np.tril(rng.normal(size=(m, m)) * scale, -1)
+    return T if seed % 2 else T.T
+
+
+def psd_gram(seed, m):
+    """The bench's ``psd`` recipe: a Gram matrix of rank m/2, not a P-matrix."""
+    r = m // 2
+    B = np.random.default_rng(seed).normal(size=(m, r))
+    return B @ B.T / r
+
+
+def test_indefinite_symmetric_part_answers_through_the_scan():
+    mats = [np.array([[1.0, -3.0], [0.0, 1.0]])]
+    mats += [unit_triangular(seed, m) for seed in range(4) for m in range(2, 9)]
+    for M in mats:
+        assert np.linalg.eigvalsh(M + M.T)[0] < 0.0
+        assert not lcp_oracle._certify_positive_definite(M)
+        assert is_P_matrix(M) and reference_is_P(M)
+    # the scan still reads every minor's sign from its LU: at these scales
+    # the minors of order 13 and 14 under- or overflow as determinants
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-25, 1e25):
+            M = scale * unit_triangular(7, 14, scale=3.0)
+            assert not lcp_oracle._certify_positive_definite(M)
+            assert is_P_matrix(M)
+
+
+@pytest.mark.parametrize("m", [6, 8, 10, 12, 14])
+def test_rank_deficient_gram_is_no_P_matrix(m):
+    for seed in range(4):
+        M = psd_gram(seed, m)
+        assert not lcp_oracle._certify_positive_definite(M)
+        assert not is_P_matrix(M)
+
+
+def test_overflow_scale_falls_back_to_the_scan(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda A: calls.append(A))
+    for M in (1e200 * np.eye(3), np.array([[2.0 ** 501, 1.0], [-1.0, 1.0]])):
+        assert is_P_matrix(M)
+    assert calls == []
+
+
+def test_certificate_proves_positive_definite_parts():
+    assert lcp_oracle._certify_positive_definite(1e-25 * np.eye(14))
+    assert lcp_oracle._certify_positive_definite(np.array([[1.0, 3.0], [-3.0, 1.0]]))
+    rng = np.random.default_rng(61)
+    for m in range(1, 15):
+        A, K = rng.normal(size=(m, m)), rng.normal(size=(m, m))
+        M = A @ A.T / m + 0.5 * np.eye(m) + 0.5 * (K - K.T)
+        assert lcp_oracle._certify_positive_definite(M) and is_P_matrix(M)
+
+
+def test_a_zero_shift_certifies_a_singular_matrix(monkeypatch):
+    # the Cholesky of the singular [[2, 2], [2, 2]] completes in floating
+    # point, so the shift is what keeps a True a proof
+    mats = [np.full((2, 2), 2.0), *(psd_gram(seed, m) for seed in range(4) for m in (6, 10, 14))]
+    assert not any(is_P_matrix(M) for M in mats)
+    monkeypatch.setattr(lcp_oracle, "_pd_shift", lambda S: 0.0)
+    assert is_P_matrix(mats[0])
+
+
+# -- the index tables -----------------------------------------------------
+
+def reference_index_sets(m, first):
+    return [idx for size in range(first, m + 1) for idx in combinations(range(m), size)]
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "streamed"])
+@pytest.mark.parametrize("chunk_bytes", [1, 2000, lcp_oracle._CHUNK_BYTES])
+def test_index_sets_match_itertools(chunk_bytes, cached, monkeypatch):
+    monkeypatch.setattr(lcp_oracle, "_CHUNK_BYTES", chunk_bytes)
+    if not cached:
+        monkeypatch.setattr(lcp_oracle, "_CACHED_ORDER", -1)
+    for m in (0, 1, 2, 5, 9):
+        for first in (0, 1):
+            chunks = list(lcp_oracle._index_sets(m, first))
+            assert [tuple(row) for c in chunks for row in c] == reference_index_sets(m, first)
+            for c in chunks:
+                assert c.dtype == np.intp and not c.flags.writeable
+                k = c.shape[1]
+                assert 1 <= len(c) <= (max(1, chunk_bytes // (8 * k * m)) if k else 1)
+
+
+def test_budget_sets_the_chunks_of_a_cached_table(monkeypatch):
+    default = list(lcp_oracle._index_sets(8))
+    monkeypatch.setattr(lcp_oracle, "_CHUNK_BYTES", 1)
+    single = list(lcp_oracle._index_sets(8))
+    assert len(default) < len(single) == 2 ** 8
+    assert {len(c) for c in single} == {1}
+    assert np.array_equal(np.concatenate([c.ravel() for c in default]),
+                          np.concatenate([c.ravel() for c in single]))
+
+
+def test_cached_tables_refuse_writes():
+    chunk = next(lcp_oracle._index_sets(6, first=2))
+    with pytest.raises(ValueError):
+        chunk[0, 0] = 5
+    with pytest.raises(ValueError):
+        lcp_oracle._index_table(6)[3][0] = 0
+    assert next(lcp_oracle._index_sets(6, first=2))[0].tolist() == [0, 1]
+
+
+def test_tables_are_built_on_first_use_not_at_import():
+    out = subprocess.run(
+        [sys.executable, "-c", "import mpecpen.cli, mpecpen.lcp_oracle as o; "
+         "print(o._index_table.cache_info().currsize)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout == "0\n"
