@@ -179,6 +179,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_residual(args) -> int:
+    if args.lam is not None and args.residual != "kkt":
+        raise MpecError(f"--lam reads nothing in the {args.residual} residual")
     problem = parse_problem_file(args.problem)
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
@@ -191,6 +193,9 @@ def _cmd_residual(args) -> int:
 
 def _cmd_probe(args) -> int:
     if args.ray is not None:
+        unread = [f"--{k}" for k in ("fixture", "count", "seed") if vars(args)[k] is not None]
+        if unread:
+            raise MpecError(f"--ray samples no point cloud; drop {', '.join(unread)}")
         if args.ray != "q1":
             raise UnknownCase(f"unknown ray fixture {args.ray!r}")
         rep_enumerated, rep = repro.q1_ray_reports(repro.load_case("q1-ray").doc)
@@ -203,7 +208,8 @@ def _cmd_probe(args) -> int:
         return 0
     if args.fixture is None:
         raise MpecError("probe needs --fixture or --ray")
-    rows, est = repro.probe_fixture(args.fixture, args.count, args.seed)
+    rows, est = repro.probe_fixture(args.fixture, 400 if args.count is None else args.count,
+                                    0 if args.seed is None else args.seed)
     print("id\tresidual\tdistance")
     for i, (r, d) in enumerate(rows):
         print(f"{i}\t{r!r}\t{d!r}")
@@ -261,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", type=str, default=None,
                    choices=(*repro.SAMPLERS, *repro.HOFFMAN_SYSTEMS))
     p.add_argument("--ray", type=str, default=None)
-    p.add_argument("--count", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=None, help="cloud size (default 400)")
+    p.add_argument("--seed", type=int, default=None, help="cloud seed (default 0)")
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("reproduce", help="run the golden reproduction suite")

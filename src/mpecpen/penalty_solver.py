@@ -12,7 +12,10 @@ variables are completed through the stationarity system restricted to
 the current activity pattern, which keeps the residual flat to first
 order and lets the search ride the manifold.  Those completions depend
 only on the activity pattern, so a landscape solves them once per
-pattern and hands out the same read-only array.
+pattern and hands out the same read-only array.  A pattern's 2n steps
+are completed as one block, one stacked numpy call per stage.  Each call
+makes per step the LAPACK or BLAS call of a lone step, and the steps
+carry +0.0 zeros, so every row keeps the bits of a step-by-step loop.
 
 Neither the objective nor the natural residual min(y, M y + q(x)) reads
 the multiplier, so the ``min`` landscape pins it: its multiplier box is
@@ -156,10 +159,10 @@ class Landscape:
     expansion: Callable[[np.ndarray, np.ndarray], tuple[float, float, float]]
     #: directional derivative of the smooth objective part
     objective_slope: Callable[[np.ndarray, np.ndarray], float]
+    #: maps a raw iterate to the KktPoint a report gives
+    as_point: Callable[[np.ndarray], KktPoint]
     #: never set by the solver; only bench/spans.py reads it
     sqrt_grad: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    #: maps a raw iterate to a KktPoint for reporting (default: all of it as x)
-    as_point: Optional[Callable[[np.ndarray], KktPoint]] = None
     #: extra poll directions that follow the feasible manifold, as a
     #: read-only (k, dim) array, or None
     tangent_polls: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -191,47 +194,38 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
             return warm_point(problem, z[:n], z[n:n + m])
 
     cache: dict[tuple[bytes, bytes], np.ndarray] = {}
+    # the signed unit steps +e_0, -e_0, +e_1, ... in x, with +0.0 zeros,
+    # and their right-hand sides -(Q dx) as (m, 1) columns
+    steps = np.zeros((2 * n, n))
+    steps[np.arange(2 * n), np.arange(2 * n) // 2] = np.tile([1.0, -1.0], n)
+    rhs = -(Q @ steps[..., None])
 
     def tangent_dirs(base, degen):
-        # For a signed unit step dx in one upper coordinate, complete
-        # (dy, dlambda) so the stationarity block stays zero under an
-        # activity pattern of y: active rows keep their multiplier
-        # (dl_i = 0) and solve M_AA dy_A = -(Q dx)_A; inactive rows keep
+        # Complete each step dx with (dy, dlambda) so the stationarity
+        # block stays zero under an activity pattern of y: active rows keep
+        # dl_i = 0 and solve M_AA dy_A = -(Q dx)_A; inactive rows keep
         # dy_i = 0 and move the multiplier with the slack.  The natural
-        # landscape completes (dx, dy) only, with dl = 0, and drops the
-        # rows that then repeat.  Pairs with both members near zero are
-        # degenerate corners of the solution path, where either branch
-        # may continue it, so both patterns are polled.
-        patterns = [np.flatnonzero(base)]
-        if np.any(degen):
-            patterns.append(np.flatnonzero(base | degen))
-        dirs: list[np.ndarray] = []
-        for act in patterns:
-            inact = np.setdiff1d(np.arange(m), act, assume_unique=True)
-            for j in range(n):
-                for sign in (1.0, -1.0):
-                    dx = np.zeros(n)
-                    dx[j] = sign
-                    rhs = -(Q @ dx)
-                    dy = np.zeros(m)
-                    if act.size:
-                        sub = M[np.ix_(act, act)]
-                        try:
-                            dy[act] = np.linalg.solve(sub, rhs[act])
-                        except np.linalg.LinAlgError:
-                            continue
-                        if not np.all(np.isfinite(dy)):
-                            continue
-                    dl = np.zeros(m)
-                    if not natural:
-                        slack_rate = kernel.rate(dx, dy)
-                        dl[inact] = slack_rate[inact]
-                    d = np.concatenate([dx, dy, dl])
-                    scale = float(np.max(np.abs(d)))
-                    if scale > 1.0:
-                        d /= scale
-                    dirs.append(d)
-        rows = np.array(dirs).reshape(len(dirs), n + 2 * m)
+        # landscape keeps dl = 0 and drops the rows that then repeat.  At
+        # degenerate pairs (both members near zero) either branch may
+        # continue the solution path, so both patterns are polled.
+        blocks = [np.empty((0, n + 2 * m))]
+        for active in [base, base | degen] if np.any(degen) else [base]:
+            act = np.flatnonzero(active)
+            dy = np.zeros((2 * n, m))
+            if act.size:
+                try:
+                    dy[:, act] = np.linalg.solve(M[np.ix_(act, act)], rhs[:, act])[..., 0]
+                except np.linalg.LinAlgError:  # exactly singular: no completions
+                    continue
+            finite = np.isfinite(dy).all(axis=1)
+            dx, dy = steps[finite], dy[finite]
+            dl = np.zeros_like(dy)
+            if not natural:
+                dl[:, ~active] = kernel.rate(dx[..., None], dy[..., None])[:, ~active, 0]
+            rows = np.concatenate([dx, dy, dl], axis=1)
+            # the max-abs entry is at least the step's 1, and x / 1 is exact
+            blocks.append(rows / np.max(np.abs(rows), axis=1, keepdims=True))
+        rows = np.concatenate(blocks)
         if natural:
             _, first = np.unique(rows, axis=0, return_index=True)
             rows = rows[np.sort(first)]
@@ -239,11 +233,10 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
         return rows
 
     def tangent_polls(z):
-        # the directions depend on z only through its activity pattern,
-        # and M, Q are fixed for the landscape, so each pattern is solved
-        # once; a pair is degenerate where y_i and its partner (the
-        # multiplier, or for the natural landscape the slack w) are both
-        # near zero
+        # the rows depend on z only through its activity pattern, so each
+        # pattern is completed once; a pair is degenerate where y_i and its
+        # partner (the multiplier, or the natural landscape's slack w) are
+        # both near zero
         x, y = z[:n], z[n:n + m]
         partner = kernel._F(x, y) if natural else z[n + m:]
         base = y > 1e-9
@@ -294,7 +287,8 @@ def q5_toy_landscape() -> Landscape:
 
     return Landscape(lower=lower, upper=upper, objective=objective,
                      residual=residual, expansion=expansion,
-                     objective_slope=objective_slope)
+                     objective_slope=objective_slope,
+                     as_point=lambda z: KktPoint(z, np.zeros(0), np.zeros(0)))
 
 
 # -- inner solver ---------------------------------------------------------
@@ -442,8 +436,7 @@ def run_continuation(land: Landscape, config: PenaltyConfig,
     variant = None
     if spec.kind == res.KIND_KKT:
         variant = "squared" if spec.squared_stationarity else "norm"
-    point = land.as_point(z) if land.as_point else KktPoint(z, np.zeros(0), np.zeros(0))
-    return SolveReport(final_point=point, alpha_history=alphas,
+    return SolveReport(final_point=land.as_point(z), alpha_history=alphas,
                        residual_history=rs, objective_history=fs,
                        penalized_history=phis, classification=classification,
                        stationarity_measure=stat, gamma=gamma,

@@ -399,7 +399,7 @@ class _Kernel:
         return self.M @ y + (self.Q @ x + self.q0)
 
     def rate(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """Rate of change of F along (dx, dy)."""
+        """Rate of change of F along (dx, dy), or along stacked columns."""
         return self.M @ dy + self.Q @ dx
 
     @staticmethod
@@ -510,13 +510,12 @@ class _Kernel:
     # -- compass screen ------------------------------------------------------
 
     def screen(self) -> TrialFloor | None:
-        """The compass screen (see ``TrialFloor``) of the min and kkt kinds
-        on data and a box within ``_SCREEN_DATA_MAX``; None otherwise."""
+        """The compass screen (see ``TrialFloor``) on data and a box within
+        ``_SCREEN_DATA_MAX``; None otherwise."""
         f, (x_box, cap) = self.f, self._box
         parts = (self.M, self.Q, self.q0, f.xx, f.xy, f.yy, f.x_lin, f.y_lin, x_box,
                  np.array([f.const, cap]))
-        if (self.spec.kind == KIND_PRODUCT
-                or max(float(np.max(np.abs(p), initial=0.0)) for p in parts) > _SCREEN_DATA_MAX):
+        if max(float(np.max(np.abs(p), initial=0.0)) for p in parts) > _SCREEN_DATA_MAX:
             return None
         return TrialFloor(self, _floor_margin(5 * (self.n + 2 * self.m) + 16))
 

@@ -275,6 +275,16 @@ class TestFlagValidation:
          "--variant", "squared", "--norm", "l1"),
         ("solve", "fixtures/q5-toy.mpec", "--alpha-fixed", "2", "--alpha0", "3"),
         ("solve", "fixtures/q5-toy.mpec", "--alpha-fixed", "2", "--growth", "5"),
+        # the q1 ray samples no cloud, and only kkt reads the multiplier
+        ("probe", "--ray", "q1", "--fixture", "lcp-q2"),
+        ("probe", "--ray", "q1", "--count", "7"),
+        ("probe", "--ray", "q1", "--count", "0"),
+        ("probe", "--ray", "q1", "--seed", "9"),
+        ("probe", "--ray", "q1", "--fixture", "lcp-q2", "--count", "7", "--seed", "9"),
+        ("residual", "fixtures/lcp-param.mpec", "--x", "1", "--y", "0 0",
+         "--residual", "min", "--lam", "5 5"),
+        ("residual", "fixtures/lcp-param.mpec", "--x", "1", "--y", "0 0",
+         "--residual", "product", "--lam", "5 5"),
     ])
     def test_bad_input_is_one_error_line(self, args):
         res = run_cli(*args)
@@ -282,8 +292,10 @@ class TestFlagValidation:
         assert res.stdout == ""
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
-        if "--norm" in args:
-            assert "--norm" in lines[0]
+        named = ("--fixture", "--count", "--seed") if "--ray" in args else ()
+        for flag in ("--norm", "--lam", *named):
+            if flag in args:
+                assert flag in lines[0]
 
     @pytest.mark.parametrize("flags", [
         ("--residual", "min"), ("--residual", "kkt"), ("--variant", "norm"),

@@ -185,6 +185,80 @@ def test_bad_alpha_rejected(lcp_param, call, alpha):
         BAD_ALPHA_CALLS[call](lcp_param, default_start(lcp_param), alpha)
 
 
+def reference_tangent_dirs(problem, spec, base, degen):
+    """The tangent rows of the activity pattern ``base`` (and of
+    ``base | degen``) as the per-step loop computed them before the
+    stacked completions: one solve, finiteness test and rate product per
+    signed unit step."""
+    n, m = problem.n, problem.m
+    kernel = residuals.penalty_kernel(problem, spec)
+    M, Q = problem.M, problem.qmap.Q
+    natural = spec.kind == residuals.KIND_MIN
+    patterns = [np.flatnonzero(base)]
+    if np.any(degen):
+        patterns.append(np.flatnonzero(base | degen))
+    dirs: list[np.ndarray] = []
+    for act in patterns:
+        inact = np.setdiff1d(np.arange(m), act, assume_unique=True)
+        for j in range(n):
+            for sign in (1.0, -1.0):
+                dx = np.zeros(n)
+                dx[j] = sign
+                rhs = -(Q @ dx)
+                dy = np.zeros(m)
+                if act.size:
+                    sub = M[np.ix_(act, act)]
+                    try:
+                        dy[act] = np.linalg.solve(sub, rhs[act])
+                    except np.linalg.LinAlgError:
+                        continue
+                    if not np.all(np.isfinite(dy)):
+                        continue
+                dl = np.zeros(m)
+                if not natural:
+                    slack_rate = kernel.rate(dx, dy)
+                    dl[inact] = slack_rate[inact]
+                d = np.concatenate([dx, dy, dl])
+                scale = float(np.max(np.abs(d)))
+                if scale > 1.0:
+                    d /= scale
+                dirs.append(d)
+    rows = np.array(dirs).reshape(len(dirs), n + 2 * m)
+    if natural:
+        _, first = np.unique(rows, axis=0, return_index=True)
+        rows = rows[np.sort(first)]
+    rows.flags.writeable = False
+    return rows
+
+
+def pattern_case(M, Q, base, degen):
+    """A problem with lower-level data (M, Q) and a point z at which the
+    landscape reads the activity pattern ``base`` and the degenerate
+    pairs ``degen``: y_i = 1 on ``base``, and elsewhere the multiplier
+    and the slack w are 0 on ``degen`` and 1 off it."""
+    m, n = Q.shape
+    y = np.where(base, 1.0, 0.0)
+    partner = np.where(degen, 0.0, 1.0)
+    doc = {"n": n, "m": m, "M": M.tolist(), "Q": Q.tolist(),
+           # x = 0, so w = M y + q0 is the partner up to rounding
+           "q0": (partner - M @ y).tolist(), "objective": {},
+           "x_box": [[-1.0, 1.0]] * n, "multiplier_bound": 2.0}
+    return problem_from_dict(doc), np.concatenate([np.zeros(n), y, partner])
+
+
+TANGENT_SPECS = [SQ, ResidualSpec("kkt", "l2", 0.5), ResidualSpec("kkt", "l1", 1.0),
+                 *[ResidualSpec("min", norm, 1.0) for norm in ("l2", "l1")]]
+
+
+def assert_reference_rows(M, Q, base, degen, spec):
+    problem, z = pattern_case(M, Q, base, degen)
+    got = landscape_from_problem(problem, spec).tangent_polls(z)
+    want = reference_tangent_dirs(problem, spec, base, degen)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
 class TestTangentPolls:
     # lcp-param points z = (x, y1, y2, lambda1, lambda2); the first two share
     # the pattern y1 active, and the third adds the degenerate pair
@@ -204,10 +278,14 @@ class TestTangentPolls:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        land.tangent_polls(self.ACTIVE)
-        first = calls[0]
-        land.tangent_polls(self.ACTIVE_2)
-        assert first > 0 and calls[0] == first
+        # one stacked solve for the 2n steps of the pattern, none when the
+        # pattern comes back, one per pattern with a degenerate pair, and
+        # none for the empty pattern
+        expected = [1, 1, 3, 3, 3]
+        for z, want in zip((self.ACTIVE, self.ACTIVE_2, self.DEGENERATE, self.ACTIVE,
+                            self.INACTIVE), expected):
+            land.tangent_polls(z)
+            assert calls[0] == want
 
     def test_cached_directions_match_a_fresh_landscape(self, lcp_param):
         land = landscape_from_problem(lcp_param, SQ)
@@ -224,6 +302,43 @@ class TestTangentPolls:
         dirs = landscape_from_problem(lcp_param, SQ).tangent_polls(self.ACTIVE)
         with pytest.raises(ValueError):
             dirs[0][0] = 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 8),
+           spec=st.sampled_from(TANGENT_SPECS), gram=st.booleans())
+    def test_rows_match_reference_loop(self, seed, n, m, spec, gram):
+        # every row keeps its bits, signed zeros included: Gram matrices of
+        # small integer factors have exactly singular principal blocks, and
+        # Q has zero and -0.0 rows and entries
+        rng = np.random.default_rng(seed)
+        if gram:
+            factor = rng.integers(-2, 3, size=(m, rng.integers(1, m + 1))).astype(float)
+            M = factor @ factor.T
+        else:
+            M = rng.normal(size=(m, m))
+        Q = rng.normal(size=(m, n))
+        Q[rng.random((m, n)) < 0.2] *= 0.0
+        Q[rng.random(m) < 0.2] = 0.0
+        Q[rng.random(m) < 0.2] = -0.0
+        base = rng.random(m) < 0.5
+        degen = ~base & (rng.random(m) < 0.5)
+        assert_reference_rows(M, Q, base, degen, spec)
+
+    @pytest.mark.parametrize("spec", TANGENT_SPECS)
+    @pytest.mark.parametrize("M, Q, base, degen, count", [
+        # pattern {0, 1} solves 1e-300 dy_0 = -(Q dx)_0: the steps +-e_0
+        # overflow and are dropped before the rate product, which would
+        # meet inf * 0 and warn; +-e_1 complete there and under {1}
+        (np.diag([1e-300, 1.0]), np.array([[1e10, 1.0], [1.0, -0.0]]),
+         [False, True], [True, False], 6),
+        # LU meets an exact zero pivot, and the pattern gives no rows
+        (np.ones((2, 2)), np.array([[1.0], [2.0]]), [True, True], [False, False], 0),
+    ], ids=["overflow", "singular"])
+    def test_edge_rows_match_reference_loop(self, spec, M, Q, base, degen, count):
+        base, degen = np.array(base), np.array(degen)
+        assert_reference_rows(M, Q, base, degen, spec)
+        problem, z = pattern_case(M, Q, base, degen)
+        assert len(landscape_from_problem(problem, spec).tangent_polls(z)) == count
 
 
 MIN_SPECS = [ResidualSpec("min", "l2", 1.0), ResidualSpec("min", "l1", 1.0)]
@@ -340,6 +455,11 @@ class TestContinuation:
         rep = run_continuation(land, PenaltyConfig(gamma=0.5), np.array([0.1]))
         assert rep.classification == CLASS_FEASIBLE
         assert abs(rep.final_point.x[0]) <= 1e-6
+
+    def test_toy_reports_t_as_x(self):
+        point = q5_toy_landscape().as_point(np.array([2.75]))
+        assert point.x.tolist() == [2.75]
+        assert point.y.size == 0 and point.lam.size == 0
 
     def test_iteration_limit(self):
         land = q5_toy_landscape()
