@@ -67,17 +67,19 @@ def _fail(message: str) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=None,
+    d = PenaltyConfig()  # an omitted flag is None and leaves these defaults
+    p.add_argument("--gamma", type=float,
                    help="penalty exponent in (0, 1]; defaults to the problem "
-                        "file's exponent when it declares one, else 0.5")
-    p.add_argument("--alpha0", type=float, default=None,
-                   help="initial penalty weight (default 1)")
-    p.add_argument("--growth", type=float, default=None,
-                   help="weight growth factor (default 10)")
-    p.add_argument("--eps-feas", type=float, default=1e-8, help="feasibility tolerance")
-    p.add_argument("--eps-stat", type=float, default=1e-6, help="stationarity tolerance")
-    p.add_argument("--max-outer", type=int, default=12)
-    p.add_argument("--max-inner", type=int, default=5000)
+                        f"file's exponent when it declares one, else {d.gamma:g}")
+    p.add_argument("--alpha0", type=float, help=f"initial penalty weight (default {d.alpha0:g})")
+    p.add_argument("--growth", type=float, help=f"weight growth factor (default {d.growth:g})")
+    p.add_argument("--eps-feas", type=float,
+                   help=f"feasibility tolerance (default {d.eps_feas:g})")
+    p.add_argument("--eps-stat", type=float,
+                   help=f"stationarity tolerance (default {d.eps_stat:g})")
+    p.add_argument("--max-outer", type=int, help=f"outer penalty rounds (default {d.max_outer})")
+    p.add_argument("--max-inner", type=int,
+                   help=f"penalized evaluations per round (default {d.max_inner})")
     p.add_argument("--norm", choices=("l1", "l2"), default=None, help="(default l2)")
     p.add_argument("--residual", choices=("min", "product", "kkt"), default=None,
                    help="(default kkt)")
@@ -106,17 +108,31 @@ def _spec_from_args(args, variant: str) -> ResidualSpec:
     return ResidualSpec(kind=kind, norm=norm, squared_stationarity=squared)
 
 
-def _config_from_args(args) -> PenaltyConfig:
+def _config_from_args(args, gamma) -> PenaltyConfig:
+    """The config of the solver flags given; ``gamma``, the problem file's
+    exponent or None, stands in for an omitted --gamma."""
     fixed = args.alpha_fixed is not None
     if fixed and (args.alpha0 is not None or args.growth is not None):
         raise MpecError("--alpha0 and --growth have no effect with --alpha-fixed")
-    # an omitted weight flag leaves the PenaltyConfig default
-    weights = {"alpha0": args.alpha_fixed if fixed else args.alpha0, "growth": args.growth}
-    return PenaltyConfig(**{k: v for k, v in weights.items() if v is not None},
-                         eps_feas=args.eps_feas, eps_stat=args.eps_stat,
-                         max_outer=args.max_outer, max_inner=args.max_inner,
-                         gamma=args.gamma, residual=_spec_from_args(args, "squared"),
-                         alpha_fixed=fixed)
+    fields = ("gamma", "alpha0", "growth", "eps_feas", "eps_stat", "max_outer", "max_inner")
+    given = {k: vars(args)[k] for k in fields if vars(args)[k] is not None}
+    if fixed:
+        given["alpha0"] = args.alpha_fixed
+    try:
+        return PenaltyConfig(**({} if gamma is None else {"gamma": float(gamma)}), **given,
+                             residual=_spec_from_args(args, "squared"), alpha_fixed=fixed)
+    except ValueError as exc:
+        # each PenaltyConfig refusal starts with the field it refuses: name its flag
+        field, _, rest = str(exc).partition(" ")
+        flag = "--alpha-fixed" if fixed and field == "alpha0" else "--" + field.replace("_", "-")
+        raise MpecError(f"{flag if field in given else field} {rest}") from None
+
+
+def _parse_start(text: str, sizes: tuple) -> np.ndarray:
+    vec = _parse_vector(text)
+    if vec.size not in sizes or not np.isfinite(vec).all():
+        raise MpecError(f"--start needs finite entries and length {' or '.join(map(str, sizes))}")
+    return vec
 
 
 def _mpec_start(text: str | None, problem: MpecProblem) -> KktPoint | None:
@@ -124,26 +140,21 @@ def _mpec_start(text: str | None, problem: MpecProblem) -> KktPoint | None:
     a missing lambda is warm-started.  None leaves the solver's default."""
     if text is None:
         return None
-    vec = _parse_vector(text)
     n, m = problem.n, problem.m
+    vec = _parse_start(text, (n, n + m, n + 2 * m))
     if vec.size == n + 2 * m:
         return problem.split(vec)
-    if vec.size not in (n, n + m):
-        raise MpecError(f"--start has length {vec.size}, expected one of "
-                        f"{sorted({n, n + m, n + 2 * m})}")
     return warm_point(problem, vec[:n], vec[n:] if vec.size > n else np.zeros(m))
 
 
 def _cmd_solve(args) -> int:
     doc = read_problem_doc(args.problem)
-    if args.gamma is None:
-        gamma = doc.get("gamma")
-        if gamma is not None and type(gamma) not in (int, float):
-            raise SchemaError(f"{args.problem}: gamma must be a number, got {gamma!r}")
-        args.gamma = 0.5 if gamma is None else float(gamma)
+    gamma = None if args.gamma is not None else doc.get("gamma")
+    if gamma is not None and type(gamma) not in (int, float):
+        raise SchemaError(f"{args.problem}: gamma must be a number, got {gamma!r}")
     toy = doc.get("toy")
     if toy is None:
-        config = _config_from_args(args)
+        config = _config_from_args(args, gamma)
         problem = problem_from_dict(doc)
         report = penalty_continuation(problem, config, _mpec_start(args.start, problem))
     else:
@@ -154,12 +165,12 @@ def _cmd_solve(args) -> int:
         if unread:
             raise MpecError(f"the q5 toy has no lower level and reads no residual; "
                             f"drop {', '.join('--' + flag for flag in unread)}")
-        config = _config_from_args(args)
-        # a landscape without a lower level: --start is the whole point,
-        # checked by run_continuation; the default is the box midpoint
+        config = _config_from_args(args, gamma)
+        # a landscape without a lower level: --start is the whole point;
+        # the default is the box midpoint
         land = q5_toy_landscape()
         z0 = (0.5 * (land.lower + land.upper) if args.start is None
-              else _parse_vector(args.start))
+              else _parse_start(args.start, (land.dim,)))
         report = run_continuation(land, config, z0)
     _emit(report.to_dict())
     return _EXIT_BY_CLASS[report.classification]
@@ -208,8 +219,13 @@ def _cmd_probe(args) -> int:
         return 0
     if args.fixture is None:
         raise MpecError("probe needs --fixture or --ray")
-    rows, est = repro.probe_fixture(args.fixture, 400 if args.count is None else args.count,
-                                    0 if args.seed is None else args.seed)
+    count = 400 if args.count is None else args.count
+    seed = 0 if args.seed is None else args.seed
+    if count < 1:
+        raise MpecError("--count must be at least 1")
+    if seed < 0:
+        raise MpecError("--seed must be nonnegative")
+    rows, est = repro.probe_fixture(args.fixture, count, seed)
     print("id\tresidual\tdistance")
     for i, (r, d) in enumerate(rows):
         print(f"{i}\t{r!r}\t{d!r}")
@@ -221,7 +237,7 @@ def _cmd_probe(args) -> int:
 def _cmd_reproduce(args) -> int:
     ids = repro.CASE_IDS if args.case == "all" else (args.case,)
     summary = {"cases": {}, "passed": 0, "failed": 0}
-    for res in repro.run_cases(ids):
+    for res in map(repro.run_case, ids):
         for chk in res.checks:
             status = "PASS" if chk.passed else "FAIL"
             print(f"{res.case_id}\t{chk.name}\t{status}\t{chk.detail}")
@@ -265,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="error-bound probes: exponent fits, rays, baselines")
     p.add_argument("--fixture", type=str, default=None,
-                   choices=(*repro.SAMPLERS, *repro.HOFFMAN_SYSTEMS))
+                   choices=tuple(repro.SAMPLERS))
     p.add_argument("--ray", type=str, default=None)
     p.add_argument("--count", type=int, default=None, help="cloud size (default 400)")
     p.add_argument("--seed", type=int, default=None, help="cloud seed (default 0)")

@@ -1,12 +1,12 @@
 """Empirical error-bound estimation: dist(z, S) <= tau * r(z)^gamma.
 
-Exponents and constants are fitted by least squares on log dist versus
-log r over a sampled cloud.  Two constants come out of every fit: the
-regression constant (average case) and the max-ratio constant
-max_i dist_i / r_i^gamma_hat, which certifies the fitted inequality on
-the cloud itself.  A Hoffman-style baseline for linear systems fixes the
-exponent at 1 and reports the sharp max-ratio constant directly, with
-distances computed by exact projection onto the polyhedron.
+Every probe is a sampler of (dist, r) pairs followed by an estimator.
+``fit_exponent`` fits log dist = log tau + gamma log r by least squares
+and reports two constants: the regression constant (average case) and
+the max-ratio constant max_i dist_i / r_i^gamma_hat, which certifies the
+fitted inequality on the cloud itself.  ``_sharp_constant`` fixes gamma
+at 1 for linear systems (Hoffman) and reports the sharp max-ratio
+constant; ``hoffman_baseline`` applies it to exact polyhedral projections.
 
 The projection enumerates active sets in ``lcp_oracle._index_sets``
 chunks.  Each chunk is screened in one batched pass, and the survivors
@@ -419,27 +419,20 @@ def polyhedron_residual(A, a, B, b, x) -> float:
     return total
 
 
-def hoffman_baseline(A, a, B, b, cloud) -> ErrorBoundEstimate:
-    """Sharp empirical constant for the linear error bound
-    dist(x, S) <= tau * (sum [A x - a]_+ + sum |B x - b|), exponent 1.
+def _sharp_constant(samples) -> ErrorBoundEstimate:
+    """Exponent 1 and tau = max dist/r over the (dist, r) samples with
+    r > R_FLOOR; when there are none, tau = 0 and a degenerate flag."""
+    used = [(float(d), float(r)) for d, r in samples if r > R_FLOOR]
+    tau = max((d / r for d, r in used), default=0.0)
+    rs = [r for _, r in used]
+    return ErrorBoundEstimate(gamma_hat=1.0, tau_hat=tau, tau_max=tau, sample_count=len(used),
+                              r_range=(min(rs, default=0.0), max(rs, default=0.0)),
+                              fit_residual=0.0, degenerate=not used)
 
-    tau is the max ratio dist/residual over the cloud.  A cloud entirely
-    inside the polyhedron gives tau = 0 and a degenerate flag.
-    """
-    ratios = []
-    rs = []
-    for x in cloud:
-        r = polyhedron_residual(A, a, B, b, x)
-        _, d = project_polyhedron(A, a, B, b, x)
-        if r > R_FLOOR:
-            ratios.append(d / r)
-            rs.append(r)
-    if not ratios:
-        return ErrorBoundEstimate(gamma_hat=1.0, tau_hat=0.0, tau_max=0.0,
-                                  sample_count=0, r_range=(0.0, 0.0),
-                                  fit_residual=0.0, degenerate=True)
-    tau = float(max(ratios))
-    return ErrorBoundEstimate(gamma_hat=1.0, tau_hat=tau, tau_max=tau,
-                              sample_count=len(ratios),
-                              r_range=(float(min(rs)), float(max(rs))),
-                              fit_residual=0.0)
+
+def hoffman_baseline(A, a, B, b, cloud) -> ErrorBoundEstimate:
+    """Sharp empirical constant for the linear error bound dist(x, S) <=
+    tau * (sum [A x - a]_+ + sum |B x - b|): ``_sharp_constant`` over one
+    exact projection and one residual per cloud point."""
+    return _sharp_constant([(project_polyhedron(A, a, B, b, x)[1],
+                             polyhedron_residual(A, a, B, b, x)) for x in cloud])

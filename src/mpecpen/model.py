@@ -167,14 +167,6 @@ class KktPoint:
         object.__setattr__(self, "y", _as_vector(self.y, "y"))
         object.__setattr__(self, "lam", _as_vector(self.lam, "lambda"))
 
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    @property
-    def m(self) -> int:
-        return self.y.size
-
     def to_z(self) -> np.ndarray:
         return np.concatenate([self.x, self.y, self.lam])
 

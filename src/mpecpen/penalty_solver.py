@@ -100,8 +100,9 @@ class PenaltyConfig:
             raise ValueError("alpha0 must be positive")
         if self.growth <= 1 and not self.alpha_fixed:
             raise ValueError("growth must exceed 1")
-        if self.eps_feas <= 0 or self.eps_stat <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("eps_feas", "eps_stat"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         if self.max_inner < 0:

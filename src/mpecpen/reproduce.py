@@ -5,7 +5,8 @@ provenance tags), recomputes them through the library, and reports one
 pass/fail check per expected value.  The case ids are stable identifiers
 used by the command line.  The error-bound probe instances that
 ``mpecpen probe`` runs are defined here too, once, and the cases that
-check them build on the same definitions.
+check them build on the same definitions.  Every probe is a sampler in
+``SAMPLERS`` followed by an estimator.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from .errors import UnknownCase
 from .errorbound import (
     ErrorBoundEstimate,
     RayDivergenceReport,
+    _sharp_constant,
     fit_exponent,
     hoffman_baseline,
     polyhedron_residual,
@@ -145,25 +148,30 @@ def _lcp_q2_samples(count: int, seed: int) -> list:
             for p in cloud]
 
 
-#: (distance, residual) samplers of the exponent-fit probes, by fixture name
-SAMPLERS = {"linear-halfspace": _halfspace_samples, "quad-scalar": _quad_samples,
-            "lcp-q2": _lcp_q2_samples}
 #: the linear systems (A, a, B, b), {z : A z <= a, B z = b}, of the Hoffman probes
 HOFFMAN_SYSTEMS = {"hoffman-halfspace": ([[1.0, 0.0]], [0.0], [], []),
                    "hoffman-corner": ([[1.0, 0.0]], [0.0], [[0.0, 1.0]], [0.0])}
 
 
+def _hoffman_samples(system, count: int, seed: int, box=_SQUARE) -> list:
+    # one exact projection and one residual per point
+    return [(project_polyhedron(*system, p)[1], polyhedron_residual(*system, p))
+            for p in sample_cloud(None, box, count, seed)]
+
+
+#: (distance, residual) samplers of the probes, by fixture name
+SAMPLERS = {"linear-halfspace": _halfspace_samples, "quad-scalar": _quad_samples,
+            "lcp-q2": _lcp_q2_samples,
+            **{name: partial(_hoffman_samples, system)
+               for name, system in HOFFMAN_SYSTEMS.items()}}
+
+
 def probe_fixture(name: str, count: int, seed: int) -> tuple[list, ErrorBoundEstimate]:
-    """(residual, distance) rows over a seeded cloud of ``count`` points,
-    and the fitted estimate (for a Hoffman system, the sharp constant)."""
-    if name in HOFFMAN_SYSTEMS:
-        A, a, B, b = HOFFMAN_SYSTEMS[name]
-        cloud = sample_cloud(None, _SQUARE, count, seed)
-        rows = [(polyhedron_residual(A, a, B, b, p), project_polyhedron(A, a, B, b, p)[1])
-                for p in cloud]
-        return rows, hoffman_baseline(A, a, B, b, cloud)
+    """(residual, distance) rows over a seeded cloud of ``count`` points, and
+    the estimate: a Hoffman system's sharp constant, else the exponent fit."""
     samples = SAMPLERS[name](count, seed)
-    return [(r, d) for d, r in samples], fit_exponent(samples)
+    estimate = _sharp_constant if name in HOFFMAN_SYSTEMS else fit_exponent
+    return [(r, d) for d, r in samples], estimate(samples)
 
 
 def q1_ray_reports(doc: dict) -> tuple[RayDivergenceReport, RayDivergenceReport]:
@@ -363,28 +371,22 @@ def _run_q5_infeasible(case: ReproCase, out: CaseResult) -> None:
 
 def _run_hoffman(case: ReproCase, out: CaseResult) -> None:
     doc = case.doc
-    cloud = sample_cloud(None, doc["cloud_box"], doc["cloud_count"], doc["cloud_seed"])
-    est = hoffman_baseline(*HOFFMAN_SYSTEMS["hoffman-halfspace"], cloud)
+    count, seed, box = doc["cloud_count"], doc["cloud_seed"], doc["cloud_box"]
+    est = hoffman_baseline(*HOFFMAN_SYSTEMS["hoffman-halfspace"],
+                           sample_cloud(None, box, count, seed))
     want = case.expected["halfspace_tau"]["value"]
     out.add("halfspace-tau", _close(est.tau_hat, want, case.tolerance),
             f"tau={est.tau_hat!r}")
-    A, a, B, b = HOFFMAN_SYSTEMS["hoffman-corner"]
-    est2 = hoffman_baseline(A, a, B, b, cloud)
+    corner = _hoffman_samples(HOFFMAN_SYSTEMS["hoffman-corner"], count, seed, box)
+    est2 = _sharp_constant(corner)
     cap = case.expected["corner_tau_cap"]["value"]
     out.add("corner-tau-cap", est2.tau_hat <= cap + case.tolerance,
             f"tau={est2.tau_hat!r} cap={cap!r}")
-    violations = 0
-    used = 0
-    for x in cloud:
-        r = polyhedron_residual(A, a, B, b, x)
-        if r <= 1e-10:
-            continue
-        used += 1
-        _, d = project_polyhedron(A, a, B, b, x)
-        if d > est2.tau_hat * r * (1.0 + 1e-9) + 1e-15:
-            violations += 1
+    # the bound checked on the samples its constant came from
+    used = [(d, r) for d, r in corner if r > 1e-10]
+    violations = sum(d > est2.tau_hat * r * (1.0 + 1e-9) + 1e-15 for d, r in used)
     out.add("aposteriori-holds", violations == 0,
-            f"violations={violations}/{used}")
+            f"violations={violations}/{len(used)}")
 
 
 def _run_quad_exponent(case: ReproCase, out: CaseResult) -> None:
@@ -427,7 +429,3 @@ def run_case(case_id: str) -> CaseResult:
     _RUNNERS[case_id](case, out)
     _check_provenance(case, out)
     return out
-
-
-def run_cases(case_ids) -> list[CaseResult]:
-    return [run_case(cid) for cid in case_ids]

@@ -22,7 +22,7 @@ from mpecpen.errorbound import (
     ray_divergence_test,
     sample_cloud,
 )
-from mpecpen import errorbound, lcp_oracle
+from mpecpen import errorbound, lcp_oracle, reproduce
 from mpecpen.lcp_oracle import _index_sets
 
 Q1_LCP = LcpInstance([[0.0, -1.0], [1.0, 0.0]], [-1.0, 2.0])
@@ -46,6 +46,13 @@ class TestSampleCloud:
     def test_order_check(self):
         with pytest.raises(ValueError):
             sample_cloud(Q1_LCP, [[0.0, 1.0]], 5, seed=0)
+
+    @pytest.mark.parametrize("box, match", [([[0.0, 1.0, 2.0]], "pairs"), ([0.0, 1.0], "pairs"),
+                                            ([[0.0, math.inf]], "bounded")],
+                             ids=["triple", "flat", "unbounded"])
+    def test_bad_box_refused(self, box, match):
+        with pytest.raises(ValueError, match=match):
+            sample_cloud(None, box, 5, seed=0)
 
 
 class TestFitExponent:
@@ -233,6 +240,36 @@ class TestHoffman:
     def test_empty_polyhedron_propagates(self):
         with pytest.raises(EmptyPolyhedron):
             hoffman_baseline([[1.0], [-1.0]], [-1.0, -1.0], [], [], [np.array([0.0])])
+
+    @pytest.mark.parametrize("name", sorted(reproduce.HOFFMAN_SYSTEMS))
+    def test_probe_is_the_baseline_over_its_samples(self, name):
+        rows, est = reproduce.probe_fixture(name, 50, 3)
+        cloud = sample_cloud(None, [[-1.0, 1.0], [-1.0, 1.0]], 50, seed=3)
+        system = reproduce.HOFFMAN_SYSTEMS[name]
+        assert est == hoffman_baseline(*system, cloud)
+        assert rows == [(polyhedron_residual(*system, x), project_polyhedron(*system, x)[1])
+                        for x in cloud]
+
+    def test_each_cloud_point_is_projected_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return project_polyhedron(*args)
+
+        # the golden case and the probes reach the projection through both names
+        monkeypatch.setattr(errorbound, "project_polyhedron", counted)
+        monkeypatch.setattr(reproduce, "project_polyhedron", counted)
+        assert reproduce.run_case("hoffman").passed
+        assert len(calls) == 600  # 300 points, once for each of the two systems
+        calls.clear()
+        reproduce.probe_fixture("hoffman-corner", 50, 3)
+        assert len(calls) == 50
+
+    def test_sharp_constant_skips_samples_below_the_floor(self):
+        est = errorbound._sharp_constant([(0.0, 0.0), (1e-11, 1e-11), (0.5, 0.25), (1.0, 2.0)])
+        assert (est.tau_hat, est.sample_count, est.r_range) == (2.0, 2, (0.25, 2.0))
+        assert errorbound._sharp_constant([(0.3, 1e-12)]).degenerate
 
 
 class TestSystemValidation:

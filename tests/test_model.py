@@ -59,6 +59,18 @@ class TestBuild:
         with pytest.raises(DimensionMismatch):
             MpecProblem(QuadObjective.zeros(1, 2), [[0, 1]], np.zeros((2, 3)), qmap, 1.0)
 
+    @pytest.mark.parametrize("parts, match", [
+        ((QuadObjective.zeros(0, 1), np.zeros((0, 2)), [[1.0]],
+          AffineParamMap(np.zeros((1, 0)), [0.0])), "at least 1"),
+        ((QuadObjective.zeros(2, 1), [[0.0, 1.0]], [[1.0]], AffineParamMap([[1.0]], [0.0])),
+         "objective dimensions"),
+        ((QuadObjective.zeros(1, 1), [[0.0, 1.0, 2.0]], [[1.0]], AffineParamMap([[1.0]], [0.0])),
+         "x_box must have shape"),
+    ], ids=["n0", "objective-size", "box-shape"])
+    def test_inconsistent_parts_refused(self, parts, match):
+        with pytest.raises(DimensionMismatch, match=match):
+            MpecProblem(*parts, 1.0)
+
 
 class TestEvalF:
     def test_affine_map_example(self, addq1):
@@ -126,6 +138,17 @@ class TestProblemFiles:
         doc["n"] = value
         with pytest.raises(SchemaError, match="n must be an integer"):
             problem_from_dict(doc)
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"n": 1, "m": 1, "M": [[1]], "Q": [[1]], "q0": [0], "objective": [1],'
+         ' "x_box": [[0, 1]], "multiplier_bound": 1}', "objective must be an object"),
+        ("[1, 2]", "top-level value must be an object"),
+    ], ids=["objective", "top-level"])
+    def test_non_object_refused(self, tmp_path, text, match):
+        f = tmp_path / "bad.mpec"
+        f.write_text(text)
+        with pytest.raises(SchemaError, match=match):
+            parse_problem_file(f)
 
     def test_missing_keys(self, tmp_path):
         f = tmp_path / "partial.mpec"

@@ -62,6 +62,9 @@ class TestConfig:
             PenaltyConfig(max_outer=0)
         with pytest.raises(ValueError, match="max_inner"):
             PenaltyConfig(max_inner=-5)
+        for name in ("eps_feas", "eps_stat"):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                PenaltyConfig(**{name: 0.0})
         # NaN passes every ordering test, so finiteness is checked first
         for name in ("alpha0", "growth", "eps_feas", "eps_stat"):
             for bad in (float("nan"), float("inf")):

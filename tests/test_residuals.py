@@ -39,6 +39,10 @@ class TestMinResidual:
         with pytest.raises(DimensionMismatch):
             min_residual([1.0], [1.0, 2.0])
 
+    def test_unknown_norm_refused(self):
+        with pytest.raises(ValueError, match="unknown norm 'l3'"):
+            min_residual([1.0], [1.0], "l3")
+
     def test_non_finite_or_matrix_pair_refused(self):
         with pytest.raises(DimensionMismatch, match="non-finite"):
             min_residual([np.nan, 1.0], [1.0, 2.0])
