@@ -24,6 +24,8 @@ from .model import (
     KktPoint,
     LcpInstance,
     MpecProblem,
+    _as_square,
+    _as_vector,
     parse_problem_file,
     problem_from_dict,
     read_problem_doc,
@@ -44,17 +46,21 @@ from . import reproduce as repro
 _EXIT_BY_CLASS = {CLASS_FEASIBLE: 0, CLASS_INFEASIBLE: 2, CLASS_LIMIT: 3}
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    parts = text.replace(",", " ").split()
-    return np.array([float(p) for p in parts])
+def _parse_vector(text: str, flag: str, size: int | None = None) -> np.ndarray:
+    """The comma/space separated numbers of ``text``, checked as a vector
+    named by the flag that gave them."""
+    try:
+        values = [float(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        raise MpecError(f"{flag} must be numbers, got {text!r}") from None
+    return _as_vector(values, flag, size)
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    rows = [[float(v) for v in row.replace(",", " ").split()]
-            for row in text.split(";") if row.strip()]
-    if len({len(row) for row in rows}) > 1:
+    rows = [_parse_vector(row, "--M") for row in text.split(";") if row.strip()]
+    if len({row.size for row in rows}) > 1:
         raise ValueError("rows have unequal lengths")
-    return np.array(rows)
+    return _as_square(rows, "--M")
 
 
 def _emit(doc: dict) -> None:
@@ -64,6 +70,21 @@ def _emit(doc: dict) -> None:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _unread(args, names, why: str) -> None:
+    """Refuse the flags among ``names`` that were given, since the command
+    would not read them, for the reason ``why``."""
+    given = [f"--{name}" for name in names if getattr(args, name, None) is not None]
+    if given:
+        raise MpecError(f"{why}; drop {', '.join(given)}")
+
+
+def _add_residual_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--residual", choices=("min", "product", "kkt"), help="(default kkt)")
+    p.add_argument("--norm", choices=("l1", "l2"), help="(default l2)")
+    p.add_argument("--variant", choices=("squared", "norm"), help="stationarity block "
+                   "of the kkt residual (default squared for solve, norm for residual)")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -80,11 +101,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-outer", type=int, help=f"outer penalty rounds (default {d.max_outer})")
     p.add_argument("--max-inner", type=int,
                    help=f"penalized evaluations per round (default {d.max_inner})")
-    p.add_argument("--norm", choices=("l1", "l2"), default=None, help="(default l2)")
-    p.add_argument("--residual", choices=("min", "product", "kkt"), default=None,
-                   help="(default kkt)")
-    p.add_argument("--variant", choices=("squared", "norm"), default=None,
-                   help="stationarity block of the kkt residual (default squared)")
+    _add_residual_flags(p)
     p.add_argument("--start", type=str, default=None,
                    help="comma/space separated start: x, (x,y) or (x,y,lambda)")
     p.add_argument("--alpha-fixed", type=float, default=None,
@@ -93,14 +110,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _spec_from_args(args, variant: str) -> ResidualSpec:
     """The residual of --residual (default kkt), --norm (default l2) and
-    --variant, whose default ``variant`` depends on the subcommand."""
+    --variant, whose default ``variant`` depends on the subcommand; only
+    kkt reads --variant and --lam."""
     kind, norm = args.residual or "kkt", args.norm or "l2"
-    if args.variant is not None:
-        if kind != "kkt":
-            raise MpecError(f"--variant names a kkt residual's stationarity block; "
-                            f"the {kind} residual has none")
-        variant = args.variant
-    squared = kind == "kkt" and variant == "squared"
+    if kind != "kkt":
+        _unread(args, ("variant", "lam"),
+                f"the {kind} residual has no stationarity block and reads no multiplier")
+    squared = kind == "kkt" and (args.variant or variant) == "squared"
     if norm != "l2" and (squared or kind == "product"):
         unread = ("the squared kkt residual; it counts with --variant norm" if squared
                   else "the product residual")
@@ -111,27 +127,28 @@ def _spec_from_args(args, variant: str) -> ResidualSpec:
 def _config_from_args(args, gamma) -> PenaltyConfig:
     """The config of the solver flags given; ``gamma``, the problem file's
     exponent or None, stands in for an omitted --gamma."""
-    fixed = args.alpha_fixed is not None
-    if fixed and (args.alpha0 is not None or args.growth is not None):
-        raise MpecError("--alpha0 and --growth have no effect with --alpha-fixed")
     fields = ("gamma", "alpha0", "growth", "eps_feas", "eps_stat", "max_outer", "max_inner")
     given = {k: vars(args)[k] for k in fields if vars(args)[k] is not None}
+    fixed = args.alpha_fixed is not None
     if fixed:
+        _unread(args, ("alpha0", "growth"), "--alpha-fixed neither starts nor grows the weight")
         given["alpha0"] = args.alpha_fixed
     try:
         return PenaltyConfig(**({} if gamma is None else {"gamma": float(gamma)}), **given,
                              residual=_spec_from_args(args, "squared"), alpha_fixed=fixed)
     except ValueError as exc:
-        # each PenaltyConfig refusal starts with the field it refuses: name its flag
+        # each PenaltyConfig refusal starts with the field it refuses: name
+        # its flag, or the problem file, which can give only gamma
         field, _, rest = str(exc).partition(" ")
         flag = "--alpha-fixed" if fixed and field == "alpha0" else "--" + field.replace("_", "-")
-        raise MpecError(f"{flag if field in given else field} {rest}") from None
+        name = flag if field in given else f"{args.problem}: {field}"
+        raise MpecError(f"{name} {rest}") from None
 
 
 def _parse_start(text: str, sizes: tuple) -> np.ndarray:
-    vec = _parse_vector(text)
-    if vec.size not in sizes or not np.isfinite(vec).all():
-        raise MpecError(f"--start needs finite entries and length {' or '.join(map(str, sizes))}")
+    vec = _parse_vector(text, "--start")
+    if vec.size not in sizes:
+        raise MpecError(f"--start must have length {' or '.join(map(str, sizes))}, got {vec.size}")
     return vec
 
 
@@ -160,11 +177,8 @@ def _cmd_solve(args) -> int:
     else:
         if toy != "q5-infeasible":
             raise SchemaError(f"unknown toy {toy!r} (known: q5-infeasible)")
-        unread = [flag for flag in ("residual", "variant", "norm")
-                  if getattr(args, flag) is not None]
-        if unread:
-            raise MpecError(f"the q5 toy has no lower level and reads no residual; "
-                            f"drop {', '.join('--' + flag for flag in unread)}")
+        _unread(args, ("residual", "variant", "norm"),
+                "the q5 toy has no lower level and reads no residual")
         config = _config_from_args(args, gamma)
         # a landscape without a lower level: --start is the whole point;
         # the default is the box midpoint
@@ -177,7 +191,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    sols = solve_lcp_enumerate(LcpInstance(_parse_matrix(args.M), _parse_vector(args.q)))
+    M = _parse_matrix(args.M)
+    sols = solve_lcp_enumerate(LcpInstance(M, _parse_vector(args.q, "--q", len(M))))
     if sols.empty_flag:
         print("[]")
     else:
@@ -190,23 +205,19 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    if args.lam is not None and args.residual != "kkt":
-        raise MpecError(f"--lam reads nothing in the {args.residual} residual")
+    spec = _spec_from_args(args, "norm")
     problem = parse_problem_file(args.problem)
-    x = _parse_vector(args.x)
-    y = _parse_vector(args.y)
+    x = _parse_vector(args.x, "--x", problem.n)
+    y = _parse_vector(args.y, "--y", problem.m)
     z = (warm_point(problem, x, y) if args.lam is None
-         else KktPoint(x, y, _parse_vector(args.lam)))
-    value = residual_value(problem, z, _spec_from_args(args, "norm"))
-    _emit({"kind": args.residual, "norm": args.norm, "value": value})
+         else KktPoint(x, y, _parse_vector(args.lam, "--lam", problem.m)))
+    _emit({"kind": spec.kind, "norm": spec.norm, "value": residual_value(problem, z, spec)})
     return 0
 
 
 def _cmd_probe(args) -> int:
     if args.ray is not None:
-        unread = [f"--{k}" for k in ("fixture", "count", "seed") if vars(args)[k] is not None]
-        if unread:
-            raise MpecError(f"--ray samples no point cloud; drop {', '.join(unread)}")
+        _unread(args, ("fixture", "count", "seed"), "--ray samples no point cloud")
         if args.ray != "q1":
             raise UnknownCase(f"unknown ray fixture {args.ray!r}")
         rep_enumerated, rep = repro.q1_ray_reports(repro.load_case("q1-ray").doc)
@@ -273,10 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--lam", default=None)
-    p.add_argument("--residual", choices=("min", "product", "kkt"), default="kkt")
-    p.add_argument("--norm", choices=("l1", "l2"), default="l2")
-    p.add_argument("--variant", choices=("squared", "norm"), default=None,
-                   help="stationarity block of the kkt residual (default norm)")
+    _add_residual_flags(p)
     p.set_defaults(func=_cmd_residual)
 
     p = sub.add_parser("probe", help="error-bound probes: exponent fits, rays, baselines")

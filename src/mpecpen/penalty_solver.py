@@ -107,8 +107,7 @@ class PenaltyConfig:
             raise ValueError("max_outer must be at least 1")
         if self.max_inner < 0:
             raise ValueError("max_inner must be nonnegative")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
+        self.effective_spec()  # the residual spec refuses a gamma outside (0, 1]
 
     def effective_spec(self) -> ResidualSpec:
         return replace(self.residual, gamma=self.gamma)
@@ -126,7 +125,8 @@ class SolveReport:
     classification: str
     stationarity_measure: float
     gamma: float
-    residual_kind: str
+    #: the landscape's residual kind, None for one without a lower level
+    residual_kind: Optional[str]
     #: "squared" or "norm" for the kkt residual, None for the others
     stationarity_variant: Optional[str]
 
@@ -170,6 +170,9 @@ class Landscape:
     #: the screen of the compass sweeps, whose ``floors`` bound
     #: ``penalized`` from below at every trial, clipped or not, or None
     screen: Optional[res.TrialFloor] = None
+    #: the residual the landscape penalizes, which names it in a report;
+    #: None for a landscape without a lower level, such as the q5 toy
+    spec: Optional[ResidualSpec] = None
 
     @property
     def dim(self) -> int:
@@ -254,7 +257,7 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
                      objective_slope=kernel.objective_slope,
                      as_point=as_point,
                      tangent_polls=tangent_polls,
-                     screen=kernel.screen())
+                     screen=kernel.screen(), spec=spec)
 
 
 def q5_toy_landscape() -> Landscape:
@@ -433,15 +436,15 @@ def run_continuation(land: Landscape, config: PenaltyConfig,
     if classification != CLASS_INFEASIBLE:
         # the certificate's measure was taken at this (z, alpha) already
         stat = stationarity_measure(land, z, alphas[-1], gamma)
-    spec = config.effective_spec()
-    variant = None
-    if spec.kind == res.KIND_KKT:
+    spec, variant = land.spec, None
+    if spec is not None and spec.kind == res.KIND_KKT:
         variant = "squared" if spec.squared_stationarity else "norm"
     return SolveReport(final_point=land.as_point(z), alpha_history=alphas,
                        residual_history=rs, objective_history=fs,
                        penalized_history=phis, classification=classification,
                        stationarity_measure=stat, gamma=gamma,
-                       residual_kind=spec.kind, stationarity_variant=variant)
+                       residual_kind=None if spec is None else spec.kind,
+                       stationarity_variant=variant)
 
 
 def penalty_continuation(problem: MpecProblem, config: PenaltyConfig,

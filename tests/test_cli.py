@@ -108,6 +108,8 @@ class TestSolve:
         assert res.returncode == 0
         doc = json.loads(res.stdout)
         assert abs(doc["final_point"]["x"][0]) <= 1e-6
+        # the toy has no lower level, so no residual kind or variant ran
+        assert doc["residual_kind"] is None and doc["stationarity_variant"] is None
 
     def test_iteration_limit_exit_three(self):
         res = run_cli("solve", "fixtures/q5-toy.mpec", "--alpha-fixed", "2",
@@ -249,6 +251,13 @@ class TestFlagValidation:
         assert res.returncode == 1
         assert "gamma" in res.stderr
 
+    def test_file_gamma_out_of_range_names_the_file(self, tmp_path):
+        toy = tmp_path / "toy.mpec"
+        toy.write_text('{"toy": "q5-infeasible", "gamma": 2}')
+        res = run_cli("solve", str(toy))
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == f"error: {toy}: gamma must lie in (0, 1]\n"
+
     @pytest.mark.parametrize("args", [
         ("probe", "--fixture", "quad-scalar", "--count", "0"),
         ("probe", "--fixture", "hoffman-corner", "--seed", "-1"),
@@ -293,6 +302,13 @@ class TestFlagValidation:
          "--residual", "min", "--lam", "5 5"),
         ("residual", "fixtures/lcp-param.mpec", "--x", "1", "--y", "0 0",
          "--residual", "product", "--lam", "5 5"),
+        # a vector that does not parse, or is not finite, or has the wrong
+        # length, is named by its flag
+        ("solve", "fixtures/lcp-param.mpec", "--start", "abc"),
+        ("residual", "fixtures/lcp-param.mpec", "--x", "nan", "--y", "0 0"),
+        ("residual", "fixtures/lcp-param.mpec", "--x", "1", "--y", "0"),
+        ("residual", "fixtures/lcp-param.mpec", "--x", "1", "--y", "0 0", "--lam", "1"),
+        ("oracle", "--M", "1", "--q", "abc"),
     ])
     def test_bad_input_is_one_error_line(self, args):
         res = run_cli(*args)
@@ -300,12 +316,17 @@ class TestFlagValidation:
         assert res.stdout == ""
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
-        # a refusal names the flags it refuses, not the library's field names
+        # a refusal names the flags it refuses, not the library's field
+        # names, and no flag it was not given; a row's well-formed point
+        # (--x 1 --y "0 0") is not what it refuses
         named = ("--fixture",) if "--ray" in args else ()
+        values = dict(zip(args, args[1:]))
         for flag in ("--norm", "--lam", "--count", "--seed", "--start", "--gamma", "--alpha0",
                      "--alpha-fixed", "--growth", "--eps-feas", "--eps-stat", "--max-outer",
-                     "--max-inner", *named):
-            if flag in args:
+                     "--max-inner", "--x", "--y", "--q", *named):
+            if flag not in args:
+                assert flag not in lines[0]
+            elif {"--x": "1", "--y": "0 0"}.get(flag) != values[flag]:
                 assert flag in lines[0]
 
     @pytest.mark.parametrize("flags", [
@@ -334,8 +355,9 @@ class TestFlagValidation:
 #: recorded before the command line was reduced to a front end over the
 #: library (the norm kkt solves: before their compass trials were
 #: screened; the ``min`` solves: when their landscape pinned the
-#: multiplier and their reports stopped naming a kkt variant); every
-#: byte must stay as it was
+#: multiplier and their reports stopped naming a kkt variant; the q5 toy
+#: solves: when their reports stopped naming a residual kind and variant
+#: that the toy never evaluates); every byte must stay as it was
 CLI_DIGESTS = {
     "probe --fixture linear-halfspace":
         ("a16095e75617eb53c4bed419a39f5bac8f7c6ac86f146c331c0667f5f561b601", 0),
@@ -370,13 +392,13 @@ CLI_DIGESTS = {
     "solve fixtures/lcp-param.mpec --start '2, 0, 0, 0, 0'":
         ("da983dafbd1c41d9a172ec47d1b365458829f9dd44fa4a99a814016d72ec1d0c", 0),
     "solve fixtures/q5-toy.mpec":
-        ("cfd2d84e87aeab5d07612ce26f93eee5ff90a88e16d44c0cff75c709f8f17b22", 0),
+        ("4de5699eeb6c5e02dfe700c63fcd38d2936c72c65a9fa9d5ca65083ab7ef21fb", 0),
     "solve fixtures/q5-toy.mpec --alpha-fixed 2 --start 3":
-        ("8785ada261ab9e7ba4b8ec9883ad1167083923a4eb7a175e2cedc536d6cabd9d", 2),
+        ("ded7fdfe945b930291b5619e10fd1f72c157d0f287aae6c2840eb4e266338584", 2),
     "solve fixtures/q5-toy.mpec --gamma 0.5 --start 0.1":
-        ("66ed0d33a4b7efd4c41aec70ca94e1ef836c8a8d9e0c8feae0d3cc1c55e1cfb6", 0),
+        ("d018eed475bff5f9e1600ba41e5d4c8a6dbe57689b0c4e54eb9e0fe7f403ee69", 0),
     "solve fixtures/q5-toy.mpec --alpha-fixed 2 --start 3 --max-outer 1":
-        ("ba60ac02a545c761fe655742b46df1e2c057731bce38b7bea90a096305a7791e", 3),
+        ("1d5cbedf2030e9fad6872b65ef28f4005d47377056eb1c399794dcd1b9ff4add", 3),
     "solve fixtures/lcp-param.mpec --residual min --gamma 1":
         ("29c7f5a7c73821672a27156d27d9eca79c7018777be87bf1a99a87c1b0f7ed02", 0),
     "solve fixtures/lcp-param.mpec --residual min --norm l1 --gamma 1":

@@ -459,6 +459,13 @@ class TestContinuation:
         assert rep.classification == CLASS_FEASIBLE
         assert abs(rep.final_point.x[0]) <= 1e-6
 
+    def test_report_names_the_landscape_residual(self, lcp_param):
+        # the toy has no lower level: its report names no residual kind or
+        # variant, whatever the config's residual spec says
+        assert landscape_from_problem(lcp_param, SQ).spec == SQ
+        rep = run_continuation(q5_toy_landscape(), PenaltyConfig(gamma=0.5), np.array([0.1]))
+        assert (rep.residual_kind, rep.stationarity_variant) == (None, None)
+
     def test_toy_reports_t_as_x(self):
         point = q5_toy_landscape().as_point(np.array([2.75]))
         assert point.x.tolist() == [2.75]
