@@ -4,8 +4,8 @@ Subcommands: solve, oracle, probe, reproduce, residual.  Everything on
 stdout is machine-parseable (TSV rows and/or a JSON document); prose and
 errors go to stderr.  Exit codes for solve: 0 feasible minimizer,
 2 infeasible penalty-stationary point, 3 iteration limit, 1 bad input.
-Bad input to any command is reported once, by ``main``: one ``error:``
-line on stderr and exit code 1.
+Bad input to any command, a usage error included, is reported as one
+``error:`` line on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _parse_vector(text: str, flag: str, size: int | None = None) -> np.ndarray:
 def _parse_matrix(text: str) -> np.ndarray:
     rows = [_parse_vector(row, "--M") for row in text.split(";") if row.strip()]
     if len({row.size for row in rows}) > 1:
-        raise ValueError("rows have unequal lengths")
+        raise MpecError("--M rows have unequal lengths")
     return _as_square(rows, "--M")
 
 
@@ -70,6 +70,13 @@ def _emit(doc: dict) -> None:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+class _Parser(argparse.ArgumentParser):
+    # a usage error is bad input like any other: one error line and exit
+    # code 1, not argparse's usage block and exit code 2
+    def error(self, message):
+        sys.exit(_fail(message))
 
 
 def _unread(args, names, why: str) -> None:
@@ -261,7 +268,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mpecpen",
         description="Fractional-power exact penalties for LCP-constrained MPECs")
     parser.set_defaults(error_prefix="", input_errors=(MpecError, ValueError, OSError))

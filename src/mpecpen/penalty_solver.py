@@ -19,21 +19,25 @@ carry +0.0 zeros, so every row keeps the bits of a step-by-step loop.
 
 Neither the objective nor the natural residual min(y, M y + q(x)) reads
 the multiplier, so the ``min`` landscape pins it: its multiplier box is
-{0}^m, its tangent rows complete (dx, dy) only, and a pair is degenerate
-where y_i and the slack w_i are both near zero.  The layout of z stays
-(x, y, lambda); the pinned +-e_lambda rows never move a trial, and a
-report fills lambda with the warm start clip(w, 0, cap).
+{0}^m, its tangent rows complete (dx, dy) only, a row of the second
+activity pattern is dropped when it equals the same step's row of the
+first, and a pair is degenerate where y_i and the slack w_i are both
+near zero.  The layout of z stays (x, y, lambda); the pinned +-e_lambda
+rows never move a trial, and a report fills lambda with the warm start
+clip(w, 0, cap).
 
 Each accepted point gets one poll matrix D: the coordinate rows
 +e_0, -e_0, +e_1, ... followed by the tangent rows.  A sweep forms every
 trial clip(z + step*D) at once; rows that the clip leaves equal to z are
 skipped free of charge, as before.  The others are walked in order and
 the first strict improvement is taken, so the iterates are those of a
-loop that evaluates one direction at a time.  The landscape of an MPEC
-also carries a screen, a ``TrialFloor``, which bounds the penalized value
-the landscape would compute at every trial of a sweep, clipped or not,
-from below in one batched evaluation, for the ``min``, norm kkt and
-squared kkt residuals alike.  A trial whose bound is at least the
+loop that evaluates one direction at a time.  A sweep charges its
+trials up to and including the first improvement, or, when none
+improves, every trial of the sweep cut to the budget left.  The
+landscape of an MPEC also carries a screen, a ``TrialFloor``, which
+bounds the penalized value the landscape would compute at every trial of
+a sweep, clipped or not, from below in one batched evaluation, for the
+``min``, norm kkt and squared kkt residuals alike.  A trial whose bound is at least the
 current value cannot be accepted; it is charged against the budget like
 an evaluated trial but not evaluated.  Every other trial is evaluated.
 Only strict descent is accepted, so the penalized objective is
@@ -209,11 +213,15 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
         # block stays zero under an activity pattern of y: active rows keep
         # dl_i = 0 and solve M_AA dy_A = -(Q dx)_A; inactive rows keep
         # dy_i = 0 and move the multiplier with the slack.  The natural
-        # landscape keeps dl = 0 and drops the rows that then repeat.  At
-        # degenerate pairs (both members near zero) either branch may
-        # continue the solution path, so both patterns are polled.
-        blocks = [np.empty((0, n + 2 * m))]
+        # landscape keeps dl = 0, and its second pattern drops the rows
+        # that repeat the first.  At degenerate pairs (both members near
+        # zero) either branch may continue the solution path, so both
+        # patterns are polled.
+        blocks = []
         for active in [base, base | degen] if np.any(degen) else [base]:
+            # one row per step, NaN where the step has no completion
+            block = np.full((2 * n, n + 2 * m), np.nan)
+            blocks.append(block)
             act = np.flatnonzero(active)
             dy = np.zeros((2 * n, m))
             if act.size:
@@ -228,11 +236,13 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
                 dl[:, ~active] = kernel.rate(dx[..., None], dy[..., None])[:, ~active, 0]
             rows = np.concatenate([dx, dy, dl], axis=1)
             # the max-abs entry is at least the step's 1, and x / 1 is exact
-            blocks.append(rows / np.max(np.abs(rows), axis=1, keepdims=True))
+            block[finite] = rows / np.max(np.abs(rows), axis=1, keepdims=True)
         rows = np.concatenate(blocks)
-        if natural:
-            _, first = np.unique(rows, axis=0, return_index=True)
-            rows = rows[np.sort(first)]
+        if natural and len(blocks) == 2:
+            # rows of distinct steps differ in dx, so a row can repeat only
+            # as the same step's row of the second pattern
+            rows[2 * n:][(blocks[1] == blocks[0]).all(axis=1)] = np.nan
+        rows = rows[~np.isnan(rows[:, 0])]
         rows.flags.writeable = False
         return rows
 
@@ -331,26 +341,23 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
             # the poll matrix of the current z: built again only when z moves
             polls = _polls(land, z, coords)
         trials = np.clip(z + step * polls, land.lower, land.upper)
-        moved = (trials != z).any(axis=1)
-        if land.screen is None:
-            screened = np.zeros_like(moved)
-        else:
-            # trials that provably cannot improve on phi
-            screened = land.screen.floors(trials, alpha, gamma) >= phi
-        for i, skip in zip(np.flatnonzero(moved).tolist(), screened[moved].tolist()):
-            if evals >= budget:
-                return z, phi, evals
-            evals += 1
-            if skip:
-                continue
-            phi_t = land.penalized(trials[i], alpha, gamma)
+        # the rows that move z, cut to the budget left
+        moved = np.flatnonzero((trials != z).any(axis=1))[:budget - evals]
+        tried = np.arange(moved.size)
+        if land.screen is not None:
+            # trials that provably cannot improve on phi are not evaluated
+            tried = tried[~(land.screen.floors(trials, alpha, gamma)[moved] >= phi)]
+        for k in tried.tolist():
+            phi_t = land.penalized(trials[moved[k]], alpha, gamma)
             if phi_t < phi:
-                z, phi = trials[i].copy(), phi_t
+                evals += k + 1  # the trials up to and including this one
+                z, phi = trials[moved[k]].copy(), phi_t
                 if callback:
                     callback(z, phi)
                 polls = None
                 break
         else:
+            evals += moved.size
             step *= 0.5
     return z, phi, evals
 
@@ -405,10 +412,9 @@ def default_start(problem: MpecProblem) -> KktPoint:
 
 def run_continuation(land: Landscape, config: PenaltyConfig,
                      z0: np.ndarray) -> SolveReport:
-    z0 = _as_vector(z0, "start", size=land.dim)
+    z = _as_vector(z0, "start", size=land.dim)  # _compass clips it to the box
     gamma = config.gamma
     alpha = config.alpha0
-    z = np.clip(z0, land.lower, land.upper)
     alphas: list[float] = []
     rs: list[float] = []
     fs: list[float] = []

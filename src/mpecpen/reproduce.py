@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import UnknownCase
 from .errorbound import (
+    R_FLOOR,
     ErrorBoundEstimate,
     RayDivergenceReport,
     _sharp_constant,
@@ -383,7 +384,7 @@ def _run_hoffman(case: ReproCase, out: CaseResult) -> None:
     out.add("corner-tau-cap", est2.tau_hat <= cap + case.tolerance,
             f"tau={est2.tau_hat!r} cap={cap!r}")
     # the bound checked on the samples its constant came from
-    used = [(d, r) for d, r in corner if r > 1e-10]
+    used = [(d, r) for d, r in corner if r > R_FLOOR]
     violations = sum(d > est2.tau_hat * r * (1.0 + 1e-9) + 1e-15 for d, r in used)
     out.add("aposteriori-holds", violations == 0,
             f"violations={violations}/{len(used)}")

@@ -47,7 +47,7 @@ def test_child_process_matches_in_process():
             (("solve", "fixtures/q5-toy.mpec", "--alpha-fixed", "2", "--start", "3"), 2),
             (("solve", "missing.mpec"), 1),
             (("residual", "fixtures/lcp-param.mpec", "--x", "1", "--y", "0 0",
-              "--gamma", "0.7"), 2)):
+              "--gamma", "0.7"), 1)):
         child, inproc = run_child(*args), run_cli(*args)
         assert child.returncode == code
         assert (child.returncode, child.stdout, child.stderr) == \
@@ -140,7 +140,7 @@ class TestOracle:
     def test_malformed_exit_one(self):
         res = run_cli("oracle", "--M", "1 2; 3", "--q", "0")
         assert res.returncode == 1
-        assert res.stderr == "error: bad matrix input: rows have unequal lengths\n"
+        assert res.stderr == "error: bad matrix input: --M rows have unequal lengths\n"
 
     def test_stats_on_stderr(self):
         res = run_cli("oracle", "--M", "0", "--q", "1", "--stats")
@@ -173,7 +173,7 @@ class TestResidualCommand:
         # the residual value never depended on the penalty exponent
         res = run_cli("residual", "fixtures/lcp-param.mpec", "--x", "1",
                       "--y", "0 0", "--gamma", "0.7")
-        assert res.returncode == 2
+        assert res.returncode == 1
         assert "unrecognized arguments: --gamma" in res.stderr
 
 
@@ -328,6 +328,31 @@ class TestFlagValidation:
                 assert flag not in lines[0]
             elif {"--x": "1", "--y": "0 0"}.get(flag) != values[flag]:
                 assert flag in lines[0]
+
+    @pytest.mark.parametrize("args, named", [
+        (("solve", "fixtures/lcp-param.mpec", "--gamma", "abc"), "--gamma"),
+        (("solve", "fixtures/lcp-param.mpec", "--max-inner", "1.5"), "--max-inner"),
+        (("solve", "fixtures/lcp-param.mpec", "--residual", "nope"), "--residual"),
+        (("oracle", "--M", "1"), "--q"),
+        (("probe", "--fixture", "nope"), "--fixture"),
+        (("residual", "fixtures/lcp-param.mpec", "--x", "1", "--y", "0 0", "--bogus"),
+         "--bogus"),
+        (("bogus",), "bogus"),
+        ((), "command"),
+    ])
+    def test_usage_error_is_one_error_line(self, args, named):
+        # what argparse refuses is bad input too: one error line naming
+        # the flag, and exit code 1 rather than its usage block and 2
+        res = run_cli(*args)
+        assert (res.returncode, res.stdout) == (1, "")
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+        assert named in lines[0]
+
+    def test_help_exits_zero(self):
+        res = run_cli("solve", "--help")
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout.startswith("usage: mpecpen solve")
 
     @pytest.mark.parametrize("flags", [
         ("--residual", "min"), ("--residual", "kkt"), ("--variant", "norm"),

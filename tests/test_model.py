@@ -125,6 +125,14 @@ class TestProblemFiles:
         with pytest.raises(SchemaError):
             parse_problem_file(f)
 
+    def test_objective_block_row_count(self, fixtures_dir, tmp_path):
+        doc = json.loads((fixtures_dir / "lcp-param.mpec").read_text())
+        doc["objective"]["xy"] = [[0.0, 0.0], [0.0, 0.0]]
+        f = tmp_path / "bad.mpec"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=r"objective\.xy must have 1 rows, got 2"):
+            parse_problem_file(f)
+
     def test_declared_dimensions_must_match(self, fixtures_dir):
         doc = json.loads((fixtures_dir / "lcp-param.mpec").read_text())
         doc["n"], doc["m"] = 7, 9

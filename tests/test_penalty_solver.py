@@ -343,6 +343,19 @@ class TestTangentPolls:
         problem, z = pattern_case(M, Q, base, degen)
         assert len(landscape_from_problem(problem, spec).tangent_polls(z)) == count
 
+    @pytest.mark.parametrize("spec, count", [(spec, 2 if spec.kind == "min" else 4)
+                                             for spec in TANGENT_SPECS])
+    def test_repeated_rows_match_reference_loop(self, spec, count):
+        # y_1 active and pair 2 degenerate: with M = I, each step's second
+        # pattern row equals its first pattern row in value, and the -e_0
+        # step's carries a -0.0 where the first has +0.0.  The min
+        # landscape drops both repeats; the kkt landscapes keep all rows
+        M, Q = np.eye(2), np.array([[1.0], [0.0]])
+        base, degen = np.array([True, False]), np.array([False, True])
+        assert_reference_rows(M, Q, base, degen, spec)
+        problem, z = pattern_case(M, Q, base, degen)
+        assert len(landscape_from_problem(problem, spec).tangent_polls(z)) == count
+
 
 MIN_SPECS = [ResidualSpec("min", "l2", 1.0), ResidualSpec("min", "l1", 1.0)]
 

@@ -251,6 +251,14 @@ class TestExpansionAndSlopes:
             rt = residual_value(p, p.split(z.to_z() + t * d), spec)
             assert rt / t ** 2 == pytest.approx(curve, abs=1e-9)
 
+    def test_squared_expansion_off_box_is_zero(self, lcp_param):
+        # at x = 2, y = (1, 0) the slack is w = (0, -1), so lambda = (-0.5, -1)
+        # gives s = w - lambda = (0.5, 0) and a raw residual of
+        # 0.25 - 0.5 < 0, whose clamp is locally zero
+        z = KktPoint([2.0], [1.0, 0.0], [-0.5, -1.0])
+        for d in (np.ones(5), np.array([0.0, -1.0, 2.0, 0.5, 0.0])):
+            assert residual_expansion(lcp_param, z, d, SQ) == (0.0, 0.0, 0.0)
+
     def test_product_kind_has_no_calculus(self, lcp_param):
         # y'w is a value only: each route to the growth expansion refuses it
         spec = ResidualSpec("product", "l2", 0.5)
