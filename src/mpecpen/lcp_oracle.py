@@ -25,7 +25,14 @@ certifies that the symmetric part (M + M')/2 is positive definite, with
 a shift that covers every rounding error (Rump 2006), M is a P-matrix.
 Any other M, such as a P-matrix with an indefinite symmetric part or a
 matrix that is not a P-matrix, goes to the scan of every principal
-minor, which gives every False.
+minor, which gives every False.  Only the certificate's True is a proof.
+The scan reads each minor's sign from a floating-point LU, so for a
+numerically singular matrix its True and its False can both be wrong.
+Two Gram matrices of ``tests/test_lcp_oracle.py`` show both:
+``psd_gram(1, 6)``, whose leading 5x5 minor is -1.1e-35 in exact
+arithmetic on its stored entries, gets True under OpenBLAS's Haswell
+kernels, and ``psd_gram(2, 6)``, whose every minor is positive in exact
+arithmetic, gets False under the SkylakeX and the Haswell kernels alike.
 """
 
 from __future__ import annotations
@@ -283,12 +290,15 @@ def _certify_positive_definite(M: np.ndarray) -> bool:
 
 
 def is_P_matrix(M) -> bool:
-    """True iff every principal minor of M is strictly positive.
+    """Whether every principal minor of M is strictly positive.
 
     A positive definite symmetric part, certified by one Cholesky
     (``_certify_positive_definite``), proves the answer True at once; any
     other M goes to the scan of all 2^m - 1 minors, which gives every
-    False."""
+    False.  Only the certificate's True is a proof: the scan reads each
+    minor's sign from a floating-point LU, so for a numerically singular
+    M its True and its False can both be wrong (see the module
+    docstring)."""
     M = _as_square(M, "M")
     m = M.shape[0]
     if m > MAX_ORDER:

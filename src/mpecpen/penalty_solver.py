@@ -29,19 +29,14 @@ clip(w, 0, cap).
 Each accepted point gets one poll matrix D: the coordinate rows
 +e_0, -e_0, +e_1, ... followed by the tangent rows.  A sweep forms every
 trial clip(z + step*D) at once; rows that the clip leaves equal to z are
-skipped free of charge, as before.  The others are walked in order and
-the first strict improvement is taken, so the iterates are those of a
-loop that evaluates one direction at a time.  A sweep charges its
-trials up to and including the first improvement, or, when none
-improves, every trial of the sweep cut to the budget left.  The
-landscape of an MPEC also carries a screen, a ``TrialFloor``, which
-bounds the penalized value the landscape would compute at every trial of
-a sweep, clipped or not, from below in one batched evaluation, for the
-``min``, norm kkt and squared kkt residuals alike.  A trial whose bound is at least the
-current value cannot be accepted; it is charged against the budget like
-an evaluated trial but not evaluated.  Every other trial is evaluated.
-Only strict descent is accepted, so the penalized objective is
-non-increasing along the iterates.
+skipped free of charge.  The others are evaluated in one batch, the
+landscape's ``values``, which gives each row the bits of ``penalized``
+on it, and the first strict improvement is taken, so the iterates are
+those of a loop that evaluates one direction at a time.  A sweep charges
+its trials up to and including the first improvement, or, when none
+improves, every trial of the sweep cut to the budget left.  Only strict
+descent is accepted, so the penalized objective is non-increasing along
+the iterates.
 
 The outer loop raises the penalty parameter geometrically until either
 the residual meets the feasibility tolerance (a feasible minimizer), or
@@ -53,7 +48,7 @@ one-sided descent of the penalized objective along its box-feasible rows,
 so a point is certified only when no direction the search polls descends.
 
 Everything runs on a small landscape interface (objective, residual,
-growth expansion, box), so the same loop drives both LCP-MPEC problems
+batched values, growth expansion, box), so the same loop drives both LCP-MPEC problems
 and custom one-dimensional constructions.
 """
 
@@ -166,14 +161,13 @@ class Landscape:
     objective_slope: Callable[[np.ndarray, np.ndarray], float]
     #: maps a raw iterate to the KktPoint a report gives
     as_point: Callable[[np.ndarray], KktPoint]
+    #: ``penalized`` at each row of a (k, dim) trial matrix, bit for bit
+    values: Callable[[np.ndarray, float, float], np.ndarray]
     #: never set by the solver; only bench/spans.py reads it
     sqrt_grad: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     #: extra poll directions that follow the feasible manifold, as a
     #: read-only (k, dim) array, or None
     tangent_polls: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    #: the screen of the compass sweeps, whose ``floors`` bound
-    #: ``penalized`` from below at every trial, clipped or not, or None
-    screen: Optional[res.TrialFloor] = None
     #: the residual the landscape penalizes, which names it in a report;
     #: None for a landscape without a lower level, such as the q5 toy
     spec: Optional[ResidualSpec] = None
@@ -265,9 +259,8 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
                      objective=kernel.objective, residual=kernel.residual,
                      expansion=kernel.expansion,
                      objective_slope=kernel.objective_slope,
-                     as_point=as_point,
-                     tangent_polls=tangent_polls,
-                     screen=kernel.screen(), spec=spec)
+                     as_point=as_point, values=kernel.values,
+                     tangent_polls=tangent_polls, spec=spec)
 
 
 def q5_toy_landscape() -> Landscape:
@@ -288,6 +281,12 @@ def q5_toy_landscape() -> Landscape:
     def objective(z):
         return float(z[0])
 
+    def values(trials, alpha, gamma):
+        # the residual's bits: Python's (t - 3) ** 2 is libm's pow
+        t = trials[:, 0]
+        r = np.minimum(t * t, np.float_power(t - 3.0, 2.0) + 1.0)
+        return t + alpha * np.float_power(np.maximum(r, 0.0), gamma)
+
     def objective_slope(z, d):
         return float(d[0])
 
@@ -302,7 +301,8 @@ def q5_toy_landscape() -> Landscape:
     return Landscape(lower=lower, upper=upper, objective=objective,
                      residual=residual, expansion=expansion,
                      objective_slope=objective_slope,
-                     as_point=lambda z: KktPoint(z, np.zeros(0), np.zeros(0)))
+                     as_point=lambda z: KktPoint(z, np.zeros(0), np.zeros(0)),
+                     values=values)
 
 
 # -- inner solver ---------------------------------------------------------
@@ -342,22 +342,18 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
             polls = _polls(land, z, coords)
         trials = np.clip(z + step * polls, land.lower, land.upper)
         # the rows that move z, cut to the budget left
-        moved = np.flatnonzero((trials != z).any(axis=1))[:budget - evals]
-        tried = np.arange(moved.size)
-        if land.screen is not None:
-            # trials that provably cannot improve on phi are not evaluated
-            tried = tried[~(land.screen.floors(trials, alpha, gamma)[moved] >= phi)]
-        for k in tried.tolist():
-            phi_t = land.penalized(trials[moved[k]], alpha, gamma)
-            if phi_t < phi:
-                evals += k + 1  # the trials up to and including this one
-                z, phi = trials[moved[k]].copy(), phi_t
-                if callback:
-                    callback(z, phi)
-                polls = None
-                break
+        moved = trials[(trials != z).any(axis=1)][:budget - evals]
+        vals = land.values(moved, alpha, gamma)
+        better = np.flatnonzero(vals < phi)
+        if better.size:
+            k = int(better[0])
+            evals += k + 1  # the trials up to and including this one
+            z, phi = moved[k].copy(), float(vals[k])
+            if callback:
+                callback(z, phi)
+            polls = None
         else:
-            evals += moved.size
+            evals += len(moved)
             step *= 0.5
     return z, phi, evals
 

@@ -31,11 +31,11 @@ validated wrappers that check their input and make one call into it.
 Whatever needs the growth expansion gets its kernel from
 ``penalty_kernel``, which refuses the product kind.
 
-The kernel also screens compass trials.  Its ``TrialFloor`` gives, for
-every trial of a sweep at once, clipped or not, a rigorous lower bound
-on the penalized value the landscape would compute there: it evaluates
-f, r and their absolute-value majorants at the trials in one batched
-pass, for the ``min``, norm kkt and squared kkt residuals alike.
+The kernel also evaluates the trials of a compass sweep in one batch:
+``values`` gives, for every row of a trial matrix, the penalized value
+that ``objective`` and ``residual`` give on that row, bit for bit.  Its
+stacked products make per row the BLAS call of a 1-D ``@``, and its
+power is libm's pow, as Python's ``**`` is.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rounding
 from .errors import AtKink
 from .model import KktPoint, MpecProblem, _as_vector
 
@@ -95,6 +94,22 @@ def _norm(v: np.ndarray, norm: str) -> float:
     if norm == NORM_L2:
         return float(np.linalg.norm(v))
     raise ValueError(f"unknown norm {norm!r}")
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a_i @ b_i for each row of (k, p) stacks, or a @ b_i for one (p,) row
+    # a: per row the BLAS dot that a 1-D @ calls
+    return (a[..., None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # A @ v_i for each row of a (k, p) stack: per row the BLAS call of a 1-D @
+    return (A @ v[:, :, None])[:, :, 0]
+
+
+def _norms(v: np.ndarray, norm: str) -> np.ndarray:
+    # ``_norm`` of each row, with its bits: np.linalg.norm takes sqrt(v @ v)
+    return np.abs(v).sum(axis=1) if norm == NORM_L1 else np.sqrt(_dots(v, v))
 
 
 def _pair(y, w) -> tuple[np.ndarray, np.ndarray]:
@@ -199,184 +214,6 @@ def _penalized_slope(objective_slope, expansion, z: np.ndarray, d: np.ndarray,
     return objective_slope(z, d) + alpha * pslope
 
 
-# -- the compass screen ----------------------------------------------------
-
-#: the screen is built only when the problem data and the box are at most
-#: this large in magnitude, which keeps overflow out and bounds the
-#: absolute effect of gradual underflow
-_SCREEN_DATA_MAX = 2.0 ** 100
-#: the underflow allowance eta of ``TrialFloor``, whose l2 norms take the
-#: square root of an underflow error
-_SQRT_UNDERFLOW = 2.0 ** -500
-#: relative error allowed for a computed power r**gamma, here and in
-#: ``Landscape.penalized``: libm's pow is within 1 ulp (2^-52), numpy's
-#: vector power within a few, and this leaves room for 2^11 ulps
-_POW_SLACK = 2.0 ** -40
-
-
-def _floor_margin(chain: int) -> float:
-    """The relative margin rho of ``TrialFloor`` for computations in which
-    no term passes through more than ``chain`` roundings."""
-    return 3.0 * rounding.gamma(chain)
-
-
-class TrialFloor:
-    """Lower bounds on the computed penalized value at any compass trial,
-    for the ``min``, norm kkt and squared kkt residuals.
-
-    Built by ``_Kernel.screen``.
-    ``floors(trials, alpha, gamma)`` reads only the (k, dim) trials t of a
-    sweep, clipped or not, and returns for every row a number
-    L <= fl(f(t) + alpha * max(r(t), 0)**gamma), the value that
-    ``Landscape.penalized`` computes at t, for alpha >= 0 and gamma > 0.
-    A trial with L >= phi(z) cannot be a strict improvement, and the
-    compass charges it without evaluating it.
-
-    Derivation.  u and gamma_k are as in ``rounding``, dim = n + 2m and
-    K = 5 dim + 16.  f is the quadratic 0.5 x'Ax + x'By + 0.5 y'Cy + a'x
-    + b'y + c, with absolute-value majorant f~(v) = 0.5 v_x'|A|v_x
-    + v_x'|B|v_y + 0.5 v_y'|C|v_y + |a|'v_x + |b|'v_y + |c|.  For a point
-    t = (x, y, lambda) let w = M y + Q x + q0, s = w - lambda and
-    sig = |M||y| + |Q||x| + |q0|, and take as the majorant of r
-    r~ = sum_i (sig_i + |y_i|) for ``min``,
-    r~ = sum_i (sig_i + |y_i| + 2 |lambda_i| + |lambda_i y_i|) for norm kkt, and
-    r~ = sum_i (sig_i + |lambda_i|)^2 + sum_i |lambda_i y_i| for squared kkt,
-    whose r = sum_i s_i^2 + sum_i lambda_i y_i.
-
-    1. The landscape (``QuadObjective.value``) and the batch both
-       evaluate f at t as a sum of products in which no term passes
-       through more than K roundings (the batch's longest chain, a
-       product with (t, |t|, 1) and then a sum over 2 dim products, has
-       fewer than 4 dim + 4), so each lies within gamma_K f~(|t|) of f(t).
-       The batch writes f = 0.5 sum_i v_i (H v + 2a)_i + c with
-       v = (x, y), H = [[A, B], [B', C]] and a = (a_x, a_y), whose
-       absolute-value form is f~ again.
-    2. Each computed w_i, or s_i, is a sum of at most 2 dim + 1 products
-       that passes through at most 2 dim + 2 roundings, and so lies within
-       gamma_{2 dim + 2} sig_i, or gamma_{2 dim + 2} (sig_i + |lambda_i|),
-       of its exact value.
-       For ``min`` and norm kkt, min(y_i, .), |.| and max(., 0) are exact
-       and 1-Lipschitz, so these errors carry through to the components
-       v_i that are summed, and |min(y_i, w_i)| <= |y_i| + |w_i|.  The l1
-       sum adds a relative gamma_m; the l2 norm, sqrt(sum v_i^2), lies
-       within gamma_{m+1} of ||v_c||, and | ||v_c|| - ||v|| |
-       <= ||v_c - v||_1; the sums of |lambda_i y_i|, [-y]_+ and
-       [-lambda]_+ and the three final additions add a relative
-       gamma_{m+4}.  Every sum of absolute values here is at most
-       (1 + gamma_{2 dim + 2}) r~(|t|), so, with gamma_a + gamma_b
-       + gamma_a gamma_b <= gamma_{a+b}, each computed r lies within
-       gamma_{3 dim + 8} r~(|t|) <= gamma_K r~(|t|) of r(t).  The batch
-       leaves out the norm kkt violation sums, nonnegative terms that
-       vanish in the box; that only lowers its value R.
-       The squared r is itself a sum of products: each s_i^2 expands into
-       the products of two terms of s_i, and r~ is the same sum with every
-       term replaced by its absolute value.  In the batch a product passes
-       through the roundings of its two factors s_i, the square, the m - 1
-       additions over the components and the one that adds the sum of the
-       lambda_i y_i (whose terms pass through m + 1), at most
-       2 (2 dim + 2) + 1 + m = 4 dim + m + 5 <= K; in the landscape
-       (``_Kernel.residual``), whose s_i pass through at most
-       dim + 2, fewer.  So each computed r lies within gamma_K r~(|t|) of
-       r(t) here too.
-    3. So F - f_c(t) <= 2 gamma_K f~(|t|), where F is the batch's f and
-       f_c the landscape's, and R - r_c(t) <= 2 gamma_K r~(|t|).  The
-       computed majorants S~, sums of nonnegative terms (and for squared
-       kkt of their squares, whose chains are as in 2), are at least
-       (1 - gamma_K) times the exact ones, so with rho = 3 gamma_K
-       (``_floor_margin(K)``) and K u < 1/8, fl(rho S~_f) >= 2 gamma_K
-       f~(|t|).  Rounding is monotone and f_c(t) is a floating-point
-       number, so fl(F - fl(rho S~_f)) <= f_c(t), and so is the fused
-       fl(F - rho S~_f) that the product with ``drop`` may compute;
-       likewise for r.
-    4. eta = 2^-500 covers gradual underflow.  With data and box entries
-       at most 2^100 (``_SCREEN_DATA_MAX``) and dim < 2^30, the underflows
-       of the products add less than dim^2 2^-970 to f, r and S~ for
-       ``min`` and norm kkt; those of the squares in an l2 norm, at most
-       m 2^-1075 under its square root, add less than 2^-520; and for
-       squared kkt, where an underflow error of at most dim 2^-1073 in s_i
-       or sig_i + |lambda_i|, both at most dim 2^202, is multiplied by at
-       most twice that, they add less than dim^3 2^-868 < 2^-770.  So
-       F_lo = fl(F - rho S~_f) - eta <= f_c(t) and R_lo <= r_c(t).
-    5. Power, weight and sum: with pow, sqrt and numpy's power each
-       within a relative 2^-41 (``_POW_SLACK``), monotonicity of x**gamma
-       gives P_lo = fl(fl(alpha pow(max(R_lo, 0))) (1 - 2^-40))
-       <= fl(alpha * max(r_c(t), 0)**gamma).  Rounded addition is
-       monotone, so L = fl(F_lo + P_lo) <= fl(f_c(t) + that power term),
-       which is the landscape's value at t.
-    """
-
-    __slots__ = ("n", "m", "natural", "squared", "l1", "map", "sums", "const", "drop",
-                 "_rows")
-
-    def __init__(self, kernel: "_Kernel", rho: float):
-        f, n, m, spec = kernel.f, kernel.n, kernel.m, kernel.spec
-        dim = n + 2 * m
-        p, x, y, lam = n + m, slice(0, n), slice(n, n + m), slice(n + m, dim)
-        w = slice(2 * dim, 2 * dim + m)
-        self.n, self.m = n, m
-        self.natural = spec.kind == KIND_MIN
-        self.squared = spec.kind == KIND_KKT and spec.squared_stationarity
-        self.l1 = spec.norm == NORM_L1
-        H = np.block([[f.xx, f.xy], [f.xy.T, f.yy]])
-        lin = np.concatenate([f.x_lin, f.y_lin])
-        absM, absQ, absq0 = np.abs(kernel.M), np.abs(kernel.Q), np.abs(kernel.q0)
-        #: (t, |t|, 1) @ map = (H v + 2a, 0, |H||v| + 2|a|, 0, w or s, the
-        #: majorant columns): for squared kkt the m columns sig + |lambda|,
-        #: else the one column r~ less its products |lambda_i y_i|
-        self.map = np.zeros((2 * dim + 1, 2 * dim + m + (m if self.squared else 1)))
-        self.map[:p, :p], self.map[dim:dim + p, dim:dim + p] = H.T, np.abs(H).T
-        self.map[x, w], self.map[y, w] = kernel.Q.T, kernel.M.T
-        if not self.natural:
-            self.map[lam, w] = -np.eye(m)
-        self.map[-1, :w.stop] = np.concatenate([2.0 * lin, np.zeros(m), 2.0 * np.abs(lin),
-                                                np.zeros(m), kernel.q0])
-        majorant = self.map[dim:, w.stop:]
-        if self.squared:
-            majorant[x], majorant[y], majorant[lam] = absQ.T, absM.T, np.eye(m)
-            majorant[-1] = absq0
-        else:
-            majorant[:-1, 0] = np.concatenate([absQ.sum(axis=0), absM.sum(axis=0) + 1.0,
-                                               np.full(m, 0.0 if self.natural else 2.0)])
-            majorant[-1] = absq0.sum()
-        #: P @ sums + const = (f, 0, f~, 0) for the products P of (t, |t|)
-        #: with the first two blocks
-        self.sums = np.zeros((2 * dim, 4))
-        self.sums[:dim, 0] = self.sums[dim:, 2] = 0.5
-        self.const = np.array([f.const, 0.0, abs(f.const), 0.0])
-        self.drop = np.array([[1.0, 0.0], [0.0, 1.0], [-rho, 0.0], [0.0, -rho]])
-        #: (t, |t|, 1) work arrays by row count
-        self._rows: dict[int, np.ndarray] = {}
-
-    def floors(self, trials: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
-        n, m = self.n, self.m
-        k, dim = trials.shape
-        t = self._rows.get(k)
-        if t is None:
-            t = self._rows[k] = np.ones((k, 2 * dim + 1))
-        t[:, :dim] = trials
-        np.abs(trials, out=t[:, dim:-1])
-        g = t @ self.map
-        vals = (g[:, :2 * dim] * t[:, :-1]) @ self.sums + self.const
-        v, majorant = g[:, 2 * dim:2 * dim + m], g[:, 2 * dim + m:]
-        y = trials[:, n:n + m]
-        if self.natural:
-            v = np.minimum(y, v)
-        if self.squared:
-            r, bound = (v * v).sum(axis=1), (majorant * majorant).sum(axis=1)
-        else:
-            r = np.abs(v).sum(axis=1) if self.l1 else np.sqrt((v * v).sum(axis=1))
-            bound = majorant[:, 0]
-        if not self.natural:
-            prod = trials[:, n + m:] * y
-            comp = np.abs(prod).sum(axis=1)
-            r, bound = r + (prod.sum(axis=1) if self.squared else comp), bound + comp
-        vals[:, 1], vals[:, 3] = r, bound
-        lo = vals @ self.drop - _SQRT_UNDERFLOW
-        # step 5: numpy takes sqrt for gamma = 1/2 and a copy for 1
-        power = np.maximum(lo[:, 1], 0.0) ** gamma
-        return lo[:, 0] + (alpha * power) * (1.0 - _POW_SLACK)
-
-
 # -- the flat kernel -----------------------------------------------------
 
 class _Kernel:
@@ -389,7 +226,6 @@ class _Kernel:
         self.M, self.Q, self.q0 = problem.M, problem.qmap.Q, problem.qmap.q0
         self.f = problem.objective
         self.spec = spec or ResidualSpec()
-        self._box = problem.x_box, problem.multiplier_bound
 
     def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n, m = self.n, self.m
@@ -435,6 +271,28 @@ class _Kernel:
         dual = float(np.sum(np.maximum(-lam, 0.0)))
         comp = float(np.sum(np.abs(lam * y)))
         return stat + primal + dual + comp
+
+    def values(self, trials: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
+        """f + alpha * max(r, 0)**gamma at each row of a (k, dim) trial
+        matrix, for the min and kkt kinds, with the bits of ``objective``
+        and ``residual`` on that row and of Python's ``**`` (libm's pow,
+        as ``np.float_power`` calls it; an array ``**`` takes sqrt at 1/2).
+        """
+        spec, f, n, m = self.spec, self.f, self.n, self.m
+        x, y, lam = trials[:, :n], trials[:, n:n + m], trials[:, n + m:]
+        fx = (_dots(0.5 * x, _matvecs(f.xx, x)) + _dots(x, _matvecs(f.xy, y))
+              + _dots(0.5 * y, _matvecs(f.yy, y)) + _dots(f.x_lin, x) + _dots(f.y_lin, y)
+              + f.const)
+        w = _matvecs(self.M, y) + (_matvecs(self.Q, x) + self.q0)
+        if spec.kind == KIND_MIN:
+            r = _norms(np.minimum(y, w), spec.norm)
+        elif spec.squared_stationarity:
+            s = w - lam
+            r = _dots(s, s) + _dots(lam, y)
+        else:
+            r = (_norms(w - lam, spec.norm) + np.maximum(-y, 0.0).sum(axis=1)
+                 + np.maximum(-lam, 0.0).sum(axis=1) + np.abs(lam * y).sum(axis=1))
+        return fx + alpha * np.float_power(np.maximum(r, 0.0), gamma)
 
     def expansion(self, z: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
         """One-sided growth (r0, slope, curve) of the residual along z + t d,
@@ -506,18 +364,6 @@ class _Kernel:
         grad_y = gy + scale * (2.0 * self.M.T @ s + lam)
         grad_l = scale * (-2.0 * s + y)
         return np.concatenate([grad_x, grad_y, grad_l])
-
-    # -- compass screen ------------------------------------------------------
-
-    def screen(self) -> TrialFloor | None:
-        """The compass screen (see ``TrialFloor``) on data and a box within
-        ``_SCREEN_DATA_MAX``; None otherwise."""
-        f, (x_box, cap) = self.f, self._box
-        parts = (self.M, self.Q, self.q0, f.xx, f.xy, f.yy, f.x_lin, f.y_lin, x_box,
-                 np.array([f.const, cap]))
-        if max(float(np.max(np.abs(p), initial=0.0)) for p in parts) > _SCREEN_DATA_MAX:
-            return None
-        return TrialFloor(self, _floor_margin(5 * (self.n + 2 * self.m) + 16))
 
 
 def penalty_kernel(problem: MpecProblem, spec: ResidualSpec) -> _Kernel:

@@ -9,10 +9,8 @@ sum of products, evaluated in any order (and so by any BLAS kernel), in
 which no term passes through more than k roundings lies within gamma_k
 times the same sum of absolute values of its exact value (sec. 3.1 and
 eq. 3.5); a dot product of length k is the standard case.  The
-enumeration and projection screens and the compass screen, which bounds
-every trial of the min, norm kkt and squared kkt residuals, each derive
-their margins from this one bound, and the P-matrix certificate of
-``lcp_oracle`` its shift.
+enumeration and projection screens each derive their margins from this
+one bound, and the P-matrix certificate of ``lcp_oracle`` its shift.
 """
 
 #: unit roundoff of IEEE double precision

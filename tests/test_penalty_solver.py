@@ -387,21 +387,15 @@ class TestNaturalLandscape:
             assert len(np.unique(rows, axis=0)) == len(rows)
             assert np.array_equal(land.upper[3:], [0.0, 0.0])
 
-    def test_no_trial_moves_only_lambda(self, monkeypatch):
-        penalized = penalty_solver.Landscape.penalized
+    def test_no_trial_moves_only_lambda(self):
+        # the sweeps evaluate their trials in batches: every row a batch
+        # holds moves z in x or y
         current = [None]
         evaluated, lambda_only = [0], [0]
-
-        def counting(self, z, alpha, gamma):
-            if current[0] is not None:
-                evaluated[0] += 1
-                lambda_only[0] += np.array_equal(z[:-m], current[0][:-m])
-            return penalized(self, z, alpha, gamma)
 
         def accepted(z, phi):
             current[0] = z.copy()
 
-        monkeypatch.setattr(penalty_solver.Landscape, "penalized", counting)
         rng = np.random.default_rng(7)
         for i, setting in enumerate(instances.RESIDUAL_SETTINGS):
             kind, norm, squared, gamma, extra = setting
@@ -411,6 +405,13 @@ class TestNaturalLandscape:
             problem = problem_from_dict(doc)
             m = problem.m
             land = _setting_landscape(problem, kind, norm, squared, gamma)
+
+            def observed(rows, alpha, gamma, values=land.values, m=m):
+                evaluated[0] += len(rows)
+                lambda_only[0] += int(np.sum((rows[:, :-m] == current[0][:-m]).all(axis=1)))
+                return values(rows, alpha, gamma)
+
+            land = replace(land, values=observed)
             for alpha in (1.0, 100.0):
                 current[0] = None
                 z, _, _ = _compass(land, alpha, gamma, np.array(instances._start(rng, doc)),
@@ -576,7 +577,6 @@ def _load_bench_instances():
 
 
 instances = _load_bench_instances()
-FLOOR_MARGIN = residuals._floor_margin
 
 
 def reference_compass(land, alpha, gamma, z0, budget, callback=None):
@@ -622,25 +622,15 @@ def _bits(z, phi):
 
 
 def compass_runs(land, alpha, gamma, z0, budget):
-    """(z, phi, evals) and the callback sequence of both loops, as bits,
-    and the number of trials the screened loop charged but did not
-    evaluate."""
+    """(z, phi, evals) and the callback sequence of the reference loop and
+    of ``_compass``, as bits."""
     out = []
-    evaluated = [0]
-    objective = land.objective
-
-    def counting(z):
-        evaluated[0] += 1
-        return objective(z)
-
-    for compass, lnd in ((reference_compass, land),
-                         (_compass, replace(land, objective=counting))):
+    for compass in (reference_compass, _compass):
         seen = []
-        z, phi, evals = compass(lnd, alpha, gamma, np.array(z0, dtype=float), budget,
+        z, phi, evals = compass(land, alpha, gamma, np.array(z0, dtype=float), budget,
                                 lambda z, p: seen.append(_bits(z, p)))
         out.append((_bits(z, phi), evals, seen))
-    # the screened loop evaluates the start and every unscreened trial
-    return out[0], out[1], out[1][1] + 1 - evaluated[0]
+    return out
 
 
 def _setting_landscape(problem, kind, norm, squared, gamma):
@@ -664,7 +654,7 @@ def differential_cases():
     """(setting, landscape, alpha, gamma, start, budget): the fixtures at
     several weights, the q5 toy, one generated instance per residual
     setting of the benchmark's solve mix, each from the benchmark's
-    start, and near ties for the ``TrialFloor`` residuals; ``setting``
+    start, and near ties of the min and norm kkt residuals; ``setting``
     names the residual setting of the generated cases and is None for
     the others."""
     cases = []
@@ -698,37 +688,22 @@ def differential_cases():
 
 
 def assert_same_sweeps(cases):
-    """Asserts that the screened loop matches the reference on every case
-    and that each named setting's cases screen some trials; returns the
-    number of screened trials."""
-    screened = {}
+    """Asserts that ``_compass`` matches the reference loop on every case."""
     for setting, land, alpha, gamma, z0, budget in cases:
-        ref, got, skipped = compass_runs(land, alpha, gamma, z0, budget)
-        assert got == ref
-        screened[setting] = screened.get(setting, 0) + skipped
-    assert all(count > 0 for setting, count in screened.items() if setting is not None), screened
-    return sum(screened.values())
+        ref, got = compass_runs(land, alpha, gamma, z0, budget)
+        assert got == ref, setting
 
 
 def assert_charged(problem, spec):
-    """For budgets 0-40, the screened loop matches the reference, spends
-    the whole budget and screens some trials."""
+    """For budgets 0-40, ``_compass`` matches the reference loop and
+    spends the whole budget."""
     land = landscape_from_problem(problem, spec)
     z0 = default_start(problem).to_z()
-    screened = 0
     for budget in range(41):
         for alpha in (1.0, 10.0):
-            ref, got, skipped = compass_runs(land, alpha, spec.gamma, z0, budget)
+            ref, got = compass_runs(land, alpha, spec.gamma, z0, budget)
             assert got == ref
             assert got[1] == budget
-            screened += skipped
-    assert screened > 0
-
-
-def _in_group(setting, group):
-    if group == "tie":
-        return setting is not None and setting.endswith("-tie")
-    return setting is None or "-sq-" in setting
 
 
 def _degenerate_planted():
@@ -738,59 +713,22 @@ def _degenerate_planted():
 
 class TestCompassSweep:
     def test_matches_reference_loop(self):
-        # every iterate, callback value and charged trial keeps its bits,
-        # while the screens leave a large share of trials unevaluated
-        assert assert_same_sweeps(differential_cases()) > 1000
+        # every iterate, callback value and charged trial keeps its bits
+        assert_same_sweeps(differential_cases())
 
-    def test_every_setting_screens(self, lcp_param):
-        for kind, norm, squared, gamma, _ in instances.RESIDUAL_SETTINGS:
-            land = landscape_from_problem(lcp_param, ResidualSpec(kind, norm, gamma, squared))
-            assert isinstance(land.screen, residuals.TrialFloor)
-            assert (land.screen.squared, land.screen.natural) == (squared, kind == "min")
-        assert q5_toy_landscape().screen is None
-
-    def test_screen_off_for_huge_data(self):
+    def test_huge_data_matches_reference_loop(self):
+        # data above 2^100: a huge objective constant, and a multiplier box
+        # whose first steps are 2^99
         doc = json.loads((FIXTURES / "lcp-param.mpec").read_text())
-        doc["objective"]["const"] = 2.0 ** 101
-        for spec in (SQ, ResidualSpec("min", "l1", 1.0), ResidualSpec("kkt", "l2", 0.5)):
-            assert landscape_from_problem(problem_from_dict(doc), spec).screen is None
-
-    @pytest.mark.parametrize("margin, group", [
-        (lambda chain: 0.0, "tie"), (lambda chain: -FLOOR_MARGIN(chain), "tie"),
-        (lambda chain: 0.0, "squared"), (lambda chain: -FLOOR_MARGIN(chain), "squared"),
-    ], ids=["margin-0", "margin-flipped", "margin-0-squared", "margin-flipped-squared"])
-    def test_catches_an_unsafe_floor_margin(self, margin, group, monkeypatch):
-        # without the rounding margin, the floor screens trials whose
-        # computed value falls below phi by rounding alone, and the
-        # iterates part from the reference loop.  Each group catches it on
-        # its own: the squared kkt cases (fixtures and generated) and the
-        # near ties of the min and norm kkt residuals.  The landscapes
-        # build their floors, so the margin is patched first.
-        monkeypatch.setattr(residuals, "_floor_margin", margin)
-        cases = [case for case in differential_cases() if _in_group(case[0], group)]
-        with pytest.raises(AssertionError):
-            assert_same_sweeps(cases)
-
-    def test_floors_bound_clipped_squared_trials(self, lcp_param):
-        # from a start on the face y = 0, the sweeps clip rows that still
-        # move; the floor bounds the value at those trials as well
-        land = landscape_from_problem(lcp_param, SQ)
-        start = default_start(lcp_param).to_z()
-        iterates = []
-        _compass(land, 10.0, 0.5, start, 300, lambda z, phi: iterates.append(z))
-        clipped = 0
-        for z in iterates[:20]:
-            polls = _polls(land, z, _coordinate_polls(land.dim))
-            for step in (2.0, 0.5, 1e-3):
-                raw = z + step * polls
-                trials = np.clip(raw, land.lower, land.upper)
-                floors = land.screen.floors(trials, 10.0, 0.5)
-                rows = np.flatnonzero((trials != z).any(axis=1) & (trials != raw).any(axis=1))
-                for i in rows:
-                    assert np.isfinite(floors[i])
-                    assert floors[i] <= land.penalized(trials[i], 10.0, 0.5)
-                clipped += rows.size
-        assert clipped > 0
+        huge_const = json.loads(json.dumps(doc))
+        huge_const["objective"]["const"] = 2.0 ** 101
+        for huge in (huge_const, dict(doc, multiplier_bound=2.0 ** 101)):
+            problem = problem_from_dict(huge)
+            z0 = default_start(problem).to_z()
+            for spec in (SQ, ResidualSpec("min", "l1", 1.0), ResidualSpec("kkt", "l2", 0.5)):
+                land = landscape_from_problem(problem, spec)
+                assert_same_sweeps([(None, land, alpha, spec.gamma, z0, 400)
+                                    for alpha in (1.0, 1e4)])
 
     @pytest.mark.parametrize("degenerate", [False, True])
     def test_screened_trials_are_charged(self, lcp_param, degenerate):
@@ -816,14 +754,52 @@ class TestCompassSweep:
         land = _setting_landscape(problem_from_dict(doc), kind, norm, squared, gamma)
         z0 = np.array(instances._start(rng, doc))
         assert_same_sweeps([(None, land, alpha, gamma, z0, 400)])
-        # the floors themselves: never above the value the landscape
-        # computes at a moved trial, clipped ones included
-        polls = _polls(land, z0, _coordinate_polls(land.dim))
-        for step in (2.0, 0.5, 1e-3, 1e-7):
-            trials = np.clip(z0 + step * polls, land.lower, land.upper)
-            floors = land.screen.floors(trials, alpha, gamma)
-            for i in np.flatnonzero((trials != z0).any(axis=1)):
-                assert floors[i] <= land.penalized(trials[i], alpha, gamma)
+
+
+#: the residual settings of the solve mix, and min l1/l2 and norm kkt l1/l2
+#: at the other exponent
+VALUE_SETTINGS = sorted({setting[:4] for setting in instances.RESIDUAL_SETTINGS}
+                        | {("min", "l1", False, 0.5), ("min", "l2", False, 0.5),
+                           ("kkt", "l1", False, 0.5), ("kkt", "l2", False, 1.0)})
+
+
+def assert_values_per_row(land, trials, alpha, gamma):
+    # every row keeps the bits of ``penalized`` on a fresh copy of it
+    got = land.values(trials, alpha, gamma)
+    assert got.shape == (len(trials),)
+    for i, row in enumerate(trials):
+        want = np.float64(land.penalized(row.copy(), alpha, gamma))
+        assert got[i].tobytes() == want.tobytes(), (i, got[i], want)
+
+
+class TestBatchedValues:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 8),
+           generic=st.booleans(), setting=st.sampled_from(VALUE_SETTINGS),
+           step=st.floats(1e-7, 2.0), alpha=st.sampled_from([0.0, 1.0, 1e4]))
+    def test_values_match_penalized_per_row(self, seed, n, m, generic, setting, step,
+                                            alpha):
+        # the trials of a sweep from a point of the box with some
+        # coordinates on its faces, tangent rows included, clipped to it
+        rng = np.random.default_rng(seed)
+        doc = (instances.generic_mpec(rng, n, m) if generic
+               else instances.planted_mpec(rng, n, m, degenerate=bool(seed % 2)))["doc"]
+        kind, norm, squared, gamma = setting
+        land = _setting_landscape(problem_from_dict(doc), kind, norm, squared, gamma)
+        z = land.lower + rng.random(land.dim) * (land.upper - land.lower)
+        face = rng.random(land.dim)
+        z = np.where(face < 0.3, land.lower, np.where(face > 0.9, land.upper, z))
+        polls = _polls(land, z, _coordinate_polls(land.dim))
+        assert_values_per_row(land, np.clip(z + step * polls, land.lower, land.upper),
+                              alpha, gamma)
+
+    def test_values_of_the_toy(self):
+        # its second branch squares by libm's pow, as Python's ** does
+        land = q5_toy_landscape()
+        trials = np.concatenate([np.linspace(-1.0, 4.0, 1001),
+                                 2.75 + np.linspace(-1e-6, 1e-6, 101)])[:, None]
+        for alpha, gamma in ((0.0, 1.0), (2.0, 1.0), (1.0, 0.5), (1e4, 0.3)):
+            assert_values_per_row(land, trials, alpha, gamma)
 
 
 #: sha256 of the reports of the benchmark's first solve-mix block of seed 1:
