@@ -332,21 +332,21 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
     if callback:
         callback(z, phi)
     evals = 0
-    widths = land.upper - land.lower
-    step = 0.25 * float(np.max(widths)) if np.max(widths) > 0 else 0.0
+    step = 0.25 * float(np.max(land.upper - land.lower))
     coords = _coordinate_polls(land.dim)
     polls = None
     while step >= INNER_TOL and evals < budget:
         if polls is None:
-            # the poll matrix of the current z: built again only when z moves
+            # the poll matrix of the current z and a buffer for its trials:
+            # built again only when z moves
             polls = _polls(land, z, coords)
-        trials = np.clip(z + step * polls, land.lower, land.upper)
-        # the rows that move z, cut to the budget left
+            trials = np.empty_like(polls)
+        np.clip(z + step * polls, land.lower, land.upper, out=trials)
+        # the rows that move z, cut to the budget left, as a copy
         moved = trials[(trials != z).any(axis=1)][:budget - evals]
         vals = land.values(moved, alpha, gamma)
-        better = np.flatnonzero(vals < phi)
-        if better.size:
-            k = int(better[0])
+        k = int((vals < phi).argmax()) if len(vals) else 0  # the first improvement
+        if len(vals) and vals[k] < phi:
             evals += k + 1  # the trials up to and including this one
             z, phi = moved[k].copy(), float(vals[k])
             if callback:

@@ -34,8 +34,12 @@ Whatever needs the growth expansion gets its kernel from
 The kernel also evaluates the trials of a compass sweep in one batch:
 ``values`` gives, for every row of a trial matrix, the penalized value
 that ``objective`` and ``residual`` give on that row, bit for bit.  Its
-stacked products make per row the BLAS call of a 1-D ``@``, and its
-power is libm's pow, as Python's ``**`` is.
+per-row products are ``np.vecdot`` and ``np.matvec``, which make per row
+the BLAS call of a 1-D ``@``, and its power is libm's pow, as Python's
+``**`` is.  It leaves out each objective term whose block is all zero:
+on a finite row such a term is a dot summed from +0.0 over zeros, so
++0.0, and adding +0.0 changes no sum that is not -0.0, which no sum of
+dots is.
 """
 
 from __future__ import annotations
@@ -96,20 +100,10 @@ def _norm(v: np.ndarray, norm: str) -> float:
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a_i @ b_i for each row of (k, p) stacks, or a @ b_i for one (p,) row
-    # a: per row the BLAS dot that a 1-D @ calls
-    return (a[..., None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _matvecs(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # A @ v_i for each row of a (k, p) stack: per row the BLAS call of a 1-D @
-    return (A @ v[:, :, None])[:, :, 0]
-
-
 def _norms(v: np.ndarray, norm: str) -> np.ndarray:
-    # ``_norm`` of each row, with its bits: np.linalg.norm takes sqrt(v @ v)
-    return np.abs(v).sum(axis=1) if norm == NORM_L1 else np.sqrt(_dots(v, v))
+    # ``_norm`` of each row, with its bits: np.linalg.norm takes sqrt(v @ v),
+    # and np.vecdot makes per row the BLAS dot of that 1-D @
+    return np.abs(v).sum(axis=1) if norm == NORM_L1 else np.sqrt(np.vecdot(v, v))
 
 
 def _pair(y, w) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +218,16 @@ class _Kernel:
     def __init__(self, problem: MpecProblem, spec: ResidualSpec | None = None):
         self.n, self.m = problem.n, problem.m
         self.M, self.Q, self.q0 = problem.M, problem.qmap.Q, problem.qmap.q0
-        self.f = problem.objective
+        self.f = f = problem.objective
         self.spec = spec or ResidualSpec()
+        # the terms of f.value in its order, as functions of stacked (x, y),
+        # less those whose block is all zero (see the module docstring)
+        terms = ((f.xx, lambda x, y: np.vecdot(0.5 * x, np.matvec(f.xx, x))),
+                 (f.xy, lambda x, y: np.vecdot(x, np.matvec(f.xy, y))),
+                 (f.yy, lambda x, y: np.vecdot(0.5 * y, np.matvec(f.yy, y))),
+                 (f.x_lin, lambda x, y: np.vecdot(f.x_lin, x)),
+                 (f.y_lin, lambda x, y: np.vecdot(f.y_lin, y)))
+        self._f_terms = [term for block, term in terms if block.any()]
 
     def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n, m = self.n, self.m
@@ -277,18 +279,21 @@ class _Kernel:
         matrix, for the min and kkt kinds, with the bits of ``objective``
         and ``residual`` on that row and of Python's ``**`` (libm's pow,
         as ``np.float_power`` calls it; an array ``**`` takes sqrt at 1/2).
+        Each product is an ``np.vecdot`` or ``np.matvec``, per row the BLAS
+        call of a 1-D ``@``.  The sum of f's terms starts from +0.0 and
+        skips the all-zero ones, which leaves its bits as they are: every
+        term is a dot, so no partial sum is -0.0, and a skipped term of a
+        finite row is +0.0.
         """
-        spec, f, n, m = self.spec, self.f, self.n, self.m
+        spec, n, m = self.spec, self.n, self.m
         x, y, lam = trials[:, :n], trials[:, n:n + m], trials[:, n + m:]
-        fx = (_dots(0.5 * x, _matvecs(f.xx, x)) + _dots(x, _matvecs(f.xy, y))
-              + _dots(0.5 * y, _matvecs(f.yy, y)) + _dots(f.x_lin, x) + _dots(f.y_lin, y)
-              + f.const)
-        w = _matvecs(self.M, y) + (_matvecs(self.Q, x) + self.q0)
+        fx = sum([term(x, y) for term in self._f_terms], 0.0) + self.f.const
+        w = np.matvec(self.M, y) + (np.matvec(self.Q, x) + self.q0)
         if spec.kind == KIND_MIN:
             r = _norms(np.minimum(y, w), spec.norm)
         elif spec.squared_stationarity:
             s = w - lam
-            r = _dots(s, s) + _dots(lam, y)
+            r = np.vecdot(s, s) + np.vecdot(lam, y)
         else:
             r = (_norms(w - lam, spec.norm) + np.maximum(-y, 0.0).sum(axis=1)
                  + np.maximum(-lam, 0.0).sum(axis=1) + np.abs(lam * y).sum(axis=1))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpecpen import model, penalty_solver, residuals
@@ -731,12 +731,12 @@ class TestCompassSweep:
                                     for alpha in (1.0, 1e4)])
 
     @pytest.mark.parametrize("degenerate", [False, True])
-    def test_screened_trials_are_charged(self, lcp_param, degenerate):
+    def test_squared_sweeps_charge_their_trials(self, lcp_param, degenerate):
         assert_charged(_degenerate_planted() if degenerate else lcp_param, SQ)
 
     @pytest.mark.parametrize("spec", [ResidualSpec("min", "l2", 1.0),
                                       ResidualSpec("kkt", "l1", 1.0)], ids=["min", "norm"])
-    def test_floor_screened_trials_are_charged(self, spec):
+    def test_min_and_norm_sweeps_charge_their_trials(self, spec):
         assert_charged(_degenerate_planted(), spec)
 
     @settings(max_examples=25, deadline=None)
@@ -772,6 +772,27 @@ def assert_values_per_row(land, trials, alpha, gamma):
         assert got[i].tobytes() == want.tobytes(), (i, got[i], want)
 
 
+def sweep_trials(rng, land, step):
+    """The trials of a sweep from a point of the box with some coordinates
+    on its faces, tangent rows included, clipped to it."""
+    z = land.lower + rng.random(land.dim) * (land.upper - land.lower)
+    face = rng.random(land.dim)
+    z = np.where(face < 0.3, land.lower, np.where(face > 0.9, land.upper, z))
+    polls = _polls(land, z, _coordinate_polls(land.dim))
+    return np.clip(z + step * polls, land.lower, land.upper)
+
+
+def _generated(seed, n, m, generic):
+    rng = np.random.default_rng(seed)
+    doc = (instances.generic_mpec(rng, n, m) if generic
+           else instances.planted_mpec(rng, n, m, degenerate=bool(seed % 2)))["doc"]
+    return rng, doc
+
+
+#: the blocks of a quadratic objective, each a term of its value
+OBJECTIVE_BLOCKS = ("xx", "xy", "yy", "x_lin", "y_lin")
+
+
 class TestBatchedValues:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 8),
@@ -779,19 +800,41 @@ class TestBatchedValues:
            step=st.floats(1e-7, 2.0), alpha=st.sampled_from([0.0, 1.0, 1e4]))
     def test_values_match_penalized_per_row(self, seed, n, m, generic, setting, step,
                                             alpha):
-        # the trials of a sweep from a point of the box with some
-        # coordinates on its faces, tangent rows included, clipped to it
-        rng = np.random.default_rng(seed)
-        doc = (instances.generic_mpec(rng, n, m) if generic
-               else instances.planted_mpec(rng, n, m, degenerate=bool(seed % 2)))["doc"]
+        rng, doc = _generated(seed, n, m, generic)
         kind, norm, squared, gamma = setting
         land = _setting_landscape(problem_from_dict(doc), kind, norm, squared, gamma)
-        z = land.lower + rng.random(land.dim) * (land.upper - land.lower)
-        face = rng.random(land.dim)
-        z = np.where(face < 0.3, land.lower, np.where(face > 0.9, land.upper, z))
-        polls = _polls(land, z, _coordinate_polls(land.dim))
-        assert_values_per_row(land, np.clip(z + step * polls, land.lower, land.upper),
-                              alpha, gamma)
+        assert_values_per_row(land, sweep_trials(rng, land, step), alpha, gamma)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 8),
+           generic=st.booleans(), zeroed=st.sets(st.sampled_from(OBJECTIVE_BLOCKS)),
+           const=st.sampled_from([0.0, -0.0, None]), step=st.floats(1e-7, 2.0),
+           alpha=st.sampled_from([0.0, 1.0, 1e4]))
+    @example(seed=7, n=2, m=3, generic=True, zeroed=set(OBJECTIVE_BLOCKS), const=-0.0,
+             step=0.5, alpha=1.0)
+    def test_values_without_zero_blocks_keep_their_bits(self, seed, n, m, generic,
+                                                        zeroed, const, step, alpha):
+        # the batch leaves out the terms of all-zero blocks, which the
+        # per-row value adds; None draws a random constant
+        rng, doc = _generated(seed, n, m, generic)
+        objective = doc["objective"]
+        for block in zeroed:
+            objective[block] = np.zeros_like(objective[block]).tolist()
+        objective["const"] = float(rng.standard_normal()) if const is None else const
+        problem = problem_from_dict(doc)
+        for kind, norm, squared, gamma in VALUE_SETTINGS:
+            land = _setting_landscape(problem, kind, norm, squared, gamma)
+            assert_values_per_row(land, sweep_trials(rng, land, step), alpha, gamma)
+
+    def test_values_of_bilevel_leave_out_its_quadratic_terms(self, bilevel):
+        # xx, xy and yy are all zero: only the two linear terms are summed
+        assert len(residuals._Kernel(bilevel)._f_terms) == 2
+        rng = np.random.default_rng(3)
+        for kind, norm, squared, gamma in VALUE_SETTINGS:
+            land = _setting_landscape(bilevel, kind, norm, squared, gamma)
+            for step in (2.0, 0.5, 1e-3, 1e-7):
+                for alpha in (0.0, 1.0, 1e4):
+                    assert_values_per_row(land, sweep_trials(rng, land, step), alpha, gamma)
 
     def test_values_of_the_toy(self):
         # its second branch squares by libm's pow, as Python's ** does
