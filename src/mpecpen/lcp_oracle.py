@@ -11,14 +11,16 @@ The index sets are enumerated by size, each size in
 within a fixed memory budget; each chunk takes one batched
 ``np.linalg.solve`` (or ``slogdet`` for the P-matrix test).  Batching
 changes no bits: each basis gets the same LAPACK call and the same residual
-product it would get alone, and the vectorised feasibility screen only
-preselects, with a rounding margin, the candidates that the per-basis
-checks then confirm in enumeration order.  The index sets of each order
-up to 16 are built once, on first use, into read-only tables whose row
-slices, widened to intp, are the chunks of every later enumeration,
-P-test and projection of that order: m 2^(m-1) one-byte entries for
-order m, 115 KB at m = 14, 0.5 MB at m = 16 and 1.0 MB for all orders up
-to 16.  Orders 17 to 20 build their chunks as they go.
+product it would get alone, and each chunk is checked once, exactly: w =
+M y + q comes from ``np.matvec`` and y'w from ``np.vecdot``, which make
+per basis the BLAS calls of a 1-D ``@``, so a basis passes or fails as it
+would alone, and the bases that pass are kept in enumeration order.  The
+index sets of each order up to 16 are built once, on first use, into
+read-only tables whose row slices, widened to intp, are the chunks of
+every later enumeration, P-test and projection of that order: m 2^(m-1)
+one-byte entries for order m, 115 KB at m = 14, 0.5 MB at m = 16 and
+1.0 MB for all orders up to 16.  Orders 17 to 20 build their chunks as
+they go.
 
 ``is_P_matrix`` first tries a proof: when one floating-point Cholesky
 certifies that the symmetric part (M + M')/2 is positive definite, with
@@ -128,11 +130,6 @@ def _principal_submatrices(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return M.ravel().take(idx[:, :, None] * m + idx[:, None, :])
 
 
-def _passes_checks(y: np.ndarray, w: np.ndarray) -> bool:
-    return (np.all(y >= -FEAS_TOL) and np.all(w >= -FEAS_TOL)
-            and abs(float(y @ w)) <= FEAS_TOL)
-
-
 def _solve_stack(subs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Row j solves subs[j] y = rhs[j], where rhs[j] is a vector or, for
     several right-hand sides at once, a matrix; rows of exactly singular
@@ -153,38 +150,31 @@ def _solve_stack(subs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out[..., 0] if column else out
 
 
-def _screen_chunk(M: np.ndarray, q: np.ndarray, idx: np.ndarray, abs_MT: np.ndarray,
-                  abs_q: np.ndarray):
-    """Solve the bases of one chunk and screen them.
+def _check_chunk(M: np.ndarray, q: np.ndarray, idx: np.ndarray) -> tuple[int, np.ndarray]:
+    """Solve the bases of one chunk and check them.
 
-    Returns the basic solutions y_I (n x k), a mask of the bases that
-    count as singular, and a mask of the candidates that may pass
-    ``_passes_checks``.  A basis is singular when its solve fails, is not
-    finite or leaves a residual max |M_II y_I + q_I| above
-    1e-8 max(1, max |q_I|); the stacked product M_II @ y_I makes the same
-    matrix-vector call per basis as an unstacked one.  The candidate mask
-    is a superset: w = M y + q comes from one matrix product for the whole
-    chunk, and ``slack`` bounds how far its rounding can stray from the
-    per-basis product that ``_passes_checks`` is given: each of the two
-    lies within gamma_{m+1} (|M||y| + |q|) of the exact w (see
-    ``rounding``), and 2 gamma_{m+1} <= 4 (m + 1) u, half the slack.
-    ``abs_MT`` and ``abs_q`` are |M|' and |q|, formed once per enumeration.
+    Returns the number of singular bases and, as rows in enumeration
+    order, the basic solutions y that pass: y >= -FEAS_TOL,
+    w = M y + q >= -FEAS_TOL and |y'w| <= FEAS_TOL.  A basis is singular
+    when its solve fails, is not finite or leaves a residual
+    max |M_II y_I + q_I| above 1e-8 max(1, max |q_I|); the stacked product
+    M_II @ y_I makes the same matrix-vector call per basis as an unstacked
+    one.  ``np.matvec`` and ``np.vecdot`` make per row the BLAS call of a
+    1-D ``@``, so w and y'w have the bits of a basis checked alone.
     """
-    n, m = len(idx), q.size
     subs = _principal_submatrices(M, idx)
     q_i = q.take(idx)
     y_i = _solve_stack(subs, -q_i)
-    Y = np.zeros((n, m))
-    Y[np.arange(n)[:, None], idx] = y_i
     with np.errstate(all="ignore"):
         residual = np.max(np.abs((subs @ y_i[..., None])[..., 0] + q_i), axis=1, initial=0.0)
-        w = Y @ M.T + q
-        slack = 8 * (m + 1) * U * (np.abs(Y) @ abs_MT + abs_q)
         singular = (~np.all(np.isfinite(y_i), axis=1)
                     | (residual > 1e-8 * np.max(np.abs(q_i), axis=1, initial=1.0)))
-        maybe = (~singular & np.all(y_i >= -FEAS_TOL, axis=1)
-                 & np.all(w + slack >= -FEAS_TOL, axis=1))
-    return y_i, singular, maybe
+        keep = ~singular & np.all(y_i >= -FEAS_TOL, axis=1)
+        Y = np.zeros((np.count_nonzero(keep), q.size))
+        Y[np.arange(len(Y))[:, None], idx[keep]] = y_i[keep]
+        w = np.matvec(M, Y) + q
+        passed = np.all(w >= -FEAS_TOL, axis=1) & (np.abs(np.vecdot(Y, w)) <= FEAS_TOL)
+    return int(np.count_nonzero(singular)), Y[passed]
 
 
 def solve_lcp_enumerate(lcp: LcpInstance) -> SolutionSet:
@@ -193,21 +183,16 @@ def solve_lcp_enumerate(lcp: LcpInstance) -> SolutionSet:
     m = lcp.order
     if m > MAX_ORDER:
         raise TooLarge(f"enumeration limited to order {MAX_ORDER}, got {m}")
-    M, q = lcp.M, lcp.q
-    abs_MT, abs_q = np.abs(M).T, np.abs(q)
     found: list[np.ndarray] = []
     singular = 0
     explored = 0
     for idx in _index_sets(m):
         explored += len(idx)
-        y_i, bad, maybe = _screen_chunk(M, q, idx, abs_MT, abs_q)
-        singular += int(np.count_nonzero(bad))
-        for j in np.flatnonzero(maybe):
-            y = np.zeros(m)
-            y[idx[j]] = y_i[j]
-            if _passes_checks(y, M @ y + q):
-                if all(np.linalg.norm(y - p) > DEDUP_TOL for p in found):
-                    found.append(y)
+        bad, passed = _check_chunk(lcp.M, lcp.q, idx)
+        singular += bad
+        for y in passed:
+            if all(np.linalg.norm(y - p) > DEDUP_TOL for p in found):
+                found.append(y)
     found.sort(key=lambda p: tuple(p))
     return SolutionSet(points=found, bases_explored=explored, singular_bases=singular)
 

@@ -103,6 +103,15 @@ class AffineParamMap:
         return self.Q @ x + self.q0
 
 
+#: the five terms of a QuadObjective f in its order, as functions of f and
+#: the stacked points x (k, n) and y (k, m)
+_F_TERMS = (lambda f, x, y: np.vecdot(0.5 * x, np.matvec(f.xx, x)),
+            lambda f, x, y: np.vecdot(x, np.matvec(f.xy, y)),
+            lambda f, x, y: np.vecdot(0.5 * y, np.matvec(f.yy, y)),
+            lambda f, x, y: np.vecdot(f.x_lin, x),
+            lambda f, x, y: np.vecdot(f.y_lin, y))
+
+
 @dataclass(frozen=True)
 class QuadObjective:
     """Quadratic-plus-linear objective in (x, y).
@@ -133,18 +142,34 @@ class QuadObjective:
         # symmetric parts of the Hessian blocks, formed once for grad
         object.__setattr__(self, "_hxx", 0.5 * (xx + xx.T))
         object.__setattr__(self, "_hyy", 0.5 * (yy + yy.T))
+        # the positions in _F_TERMS of the terms whose block is not all zero
+        # (see ``values``); positions, not functions, keep f picklable
+        object.__setattr__(self, "_terms", tuple(
+            i for i, block in enumerate((xx, xy, yy, x_lin, y_lin)) if block.any()))
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "QuadObjective":
         return cls(np.zeros((n, n)), np.zeros((n, m)), np.zeros((m, m)),
                    np.zeros(n), np.zeros(m), 0.0)
 
+    def values(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """f at each row of the stacked points x (k, n) and y (k, m).
+
+        Each product is an ``np.vecdot`` or ``np.matvec``, which make per
+        row the BLAS call of a 1-D ``@``, so a row's value does not depend
+        on the rows around it.  The terms are summed in the order of f from
+        a +0.0 array, and the term of an all-zero block is left out: every
+        term is a dot, which starts its sum from +0.0, so no partial sum is
+        -0.0, and the left-out term of a finite row is +0.0, which changes
+        no such sum.
+        """
+        return sum([_F_TERMS[i](self, x, y) for i in self._terms], np.zeros(len(x))) + self.const
+
     def value(self, x, y) -> float:
+        """f(x, y): one row of ``values``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return float(0.5 * x @ (self.xx @ x) + x @ (self.xy @ y)
-                     + 0.5 * y @ (self.yy @ y)
-                     + self.x_lin @ x + self.y_lin @ y + self.const)
+        return float(self.values(x[None], y[None])[0])
 
     def grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)

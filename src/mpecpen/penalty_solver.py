@@ -161,7 +161,8 @@ class Landscape:
     objective_slope: Callable[[np.ndarray, np.ndarray], float]
     #: maps a raw iterate to the KktPoint a report gives
     as_point: Callable[[np.ndarray], KktPoint]
-    #: ``penalized`` at each row of a (k, dim) trial matrix, bit for bit
+    #: f + alpha * max(r, 0)**gamma at each row of a (k, dim) trial matrix,
+    #: the one evaluator of the penalty (``penalized`` reads one row of it)
     values: Callable[[np.ndarray, float, float], np.ndarray]
     #: never set by the solver; only bench/spans.py reads it
     sqrt_grad: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
@@ -177,7 +178,8 @@ class Landscape:
         return self.lower.size
 
     def penalized(self, z: np.ndarray, alpha: float, gamma: float) -> float:
-        return self.objective(z) + alpha * max(self.residual(z), 0.0) ** gamma
+        """f + alpha * max(r, 0)**gamma at z: one row of ``values``."""
+        return float(self.values(z[None], alpha, gamma)[0])
 
 
 def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscape:
@@ -272,31 +274,32 @@ def q5_toy_landscape() -> Landscape:
     upper = np.array([4.0])
 
     def branches(t):
-        return t * t, (t - 3.0) ** 2 + 1.0
+        # both branches at each entry of t; (t - 3)^2 is libm's pow, whose
+        # bits the toy's pinned reports carry
+        return t * t, np.float_power(t - 3.0, 2.0) + 1.0
+
+    def residuals(trials):
+        return np.minimum(*branches(trials[:, 0]))
 
     def residual(z):
-        a, b = branches(float(z[0]))
-        return min(a, b)
+        return float(residuals(z[None])[0])
 
     def objective(z):
         return float(z[0])
 
     def values(trials, alpha, gamma):
-        # the residual's bits: Python's (t - 3) ** 2 is libm's pow
-        t = trials[:, 0]
-        r = np.minimum(t * t, np.float_power(t - 3.0, 2.0) + 1.0)
-        return t + alpha * np.float_power(np.maximum(r, 0.0), gamma)
+        return res._penalty(trials[:, 0], residuals(trials), alpha, gamma)
 
     def objective_slope(z, d):
         return float(d[0])
 
     def expansion(z, d):
         t, dt = float(z[0]), float(d[0])
-        a, b = branches(t)
+        a, b = (float(v[0]) for v in branches(z[:1]))
         da, db = 2.0 * t * dt, 2.0 * (t - 3.0) * dt
         slope = res.min_dirderiv(a, b, da, db)
         # both branches have unit quadratic coefficient in t
-        return min(a, b), slope, dt * dt
+        return residual(z), slope, dt * dt
 
     return Landscape(lower=lower, upper=upper, objective=objective,
                      residual=residual, expansion=expansion,

@@ -31,15 +31,18 @@ validated wrappers that check their input and make one call into it.
 Whatever needs the growth expansion gets its kernel from
 ``penalty_kernel``, which refuses the product kind.
 
-The kernel also evaluates the trials of a compass sweep in one batch:
-``values`` gives, for every row of a trial matrix, the penalized value
-that ``objective`` and ``residual`` give on that row, bit for bit.  Its
-per-row products are ``np.vecdot`` and ``np.matvec``, which make per row
-the BLAS call of a 1-D ``@``, and its power is libm's pow, as Python's
-``**`` is.  It leaves out each objective term whose block is all zero:
-on a finite row such a term is a dot summed from +0.0 over zeros, so
-+0.0, and adding +0.0 changes no sum that is not -0.0, which no sum of
-dots is.
+The kernel evaluates in batches, and a point is a batch of one row:
+``residuals`` and ``values`` take a (k, dim) matrix of points, and the
+point functions (``residual``, ``QuadObjective.value`` and
+``penalized_objective``) read row 0 of the batch they make of their
+point, so the residual, the objective and the penalty are each written
+once.  A row's value does not depend on the rows around it: the per-row
+products are ``np.vecdot`` and ``np.matvec``, which make per row the
+BLAS call of a 1-D ``@``, and the power is libm's pow, as Python's ``**``
+is.  So a compass sweep that evaluates its trials in one batch gets, bit
+for bit, the values of evaluating each trial alone.  The objective leaves
+out each term whose block is all zero, which changes no bit of a finite
+row (see ``QuadObjective.values``).
 """
 
 from __future__ import annotations
@@ -92,18 +95,16 @@ class ResidualSpec:
             raise ValueError(f"the {name} residual reads no norm; leave it at l2")
 
 
-def _norm(v: np.ndarray, norm: str) -> float:
-    if norm == NORM_L1:
-        return float(np.sum(np.abs(v)))
-    if norm == NORM_L2:
-        return float(np.linalg.norm(v))
-    raise ValueError(f"unknown norm {norm!r}")
-
-
 def _norms(v: np.ndarray, norm: str) -> np.ndarray:
-    # ``_norm`` of each row, with its bits: np.linalg.norm takes sqrt(v @ v),
-    # and np.vecdot makes per row the BLAS dot of that 1-D @
+    # the norm of each row; an l2 row keeps the bits of np.linalg.norm, which
+    # takes sqrt(v @ v), as np.vecdot makes per row the BLAS dot of that 1-D @
     return np.abs(v).sum(axis=1) if norm == NORM_L1 else np.sqrt(np.vecdot(v, v))
+
+
+def _penalty(f: np.ndarray, r: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
+    # f + alpha * max(r, 0)**gamma per row; np.float_power calls libm's pow,
+    # as Python's ** does (an array ** takes sqrt at 1/2)
+    return f + alpha * np.float_power(np.maximum(r, 0.0), gamma)
 
 
 def _pair(y, w) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +116,9 @@ def min_residual(y, w, norm: str = NORM_L2) -> float:
     """Norm of the componentwise min(y, w); zero exactly at complementary
     pairs with both parts nonnegative."""
     y, w = _pair(y, w)
-    return _norm(np.minimum(y, w), norm)
+    if norm not in (NORM_L1, NORM_L2):
+        raise ValueError(f"unknown norm {norm!r}")
+    return float(_norms(np.minimum(y, w)[None], norm)[0])
 
 
 def product_residual(y, w) -> float:
@@ -215,35 +218,24 @@ class _Kernel:
     take the flat z = (x, y, lambda), and a direction d laid out like it,
     and trust their input."""
 
-    def __init__(self, problem: MpecProblem, spec: ResidualSpec | None = None):
+    def __init__(self, problem: MpecProblem, spec: ResidualSpec):
         self.n, self.m = problem.n, problem.m
         self.M, self.Q, self.q0 = problem.M, problem.qmap.Q, problem.qmap.q0
-        self.f = f = problem.objective
-        self.spec = spec or ResidualSpec()
-        # the terms of f.value in its order, as functions of stacked (x, y),
-        # less those whose block is all zero (see the module docstring)
-        terms = ((f.xx, lambda x, y: np.vecdot(0.5 * x, np.matvec(f.xx, x))),
-                 (f.xy, lambda x, y: np.vecdot(x, np.matvec(f.xy, y))),
-                 (f.yy, lambda x, y: np.vecdot(0.5 * y, np.matvec(f.yy, y))),
-                 (f.x_lin, lambda x, y: np.vecdot(f.x_lin, x)),
-                 (f.y_lin, lambda x, y: np.vecdot(f.y_lin, y)))
-        self._f_terms = [term for block, term in terms if block.any()]
+        self.f = problem.objective
+        self.spec = spec
 
     def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (x, y, lambda) of a point, or the column blocks of a trial matrix
         n, m = self.n, self.m
-        return v[:n], v[n:n + m], v[n + m:]
+        return v[..., :n], v[..., n:n + m], v[..., n + m:]
 
     def _F(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.M @ y + (self.Q @ x + self.q0)
+        """F(x, y) at a point, or at each row of stacked (x, y)."""
+        return np.matvec(self.M, y) + (np.matvec(self.Q, x) + self.q0)
 
     def rate(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Rate of change of F along (dx, dy), or along stacked columns."""
         return self.M @ dy + self.Q @ dx
-
-    @staticmethod
-    def _squared(s: np.ndarray, y: np.ndarray, lam: np.ndarray) -> float:
-        # squared kkt residual from its stationarity block s = F - lambda
-        return float(s @ s + lam @ y)
 
     def objective(self, z: np.ndarray) -> float:
         x, y, _ = self._split(z)
@@ -255,49 +247,35 @@ class _Kernel:
         gx, gy = self.f.grad(x, y)
         return float(gx @ dx + gy @ dy)
 
-    def residual(self, z: np.ndarray) -> float:
-        """The residual selected by spec.kind (and the kkt variant)."""
+    def residuals(self, trials: np.ndarray) -> np.ndarray:
+        """The residual selected by spec.kind (and the kkt variant) at each
+        row of a (k, dim) trial matrix."""
         spec = self.spec
-        x, y, lam = self._split(z)
+        x, y, lam = self._split(trials)
         w = self._F(x, y)
         if spec.kind == KIND_MIN:
-            return _norm(np.minimum(y, w), spec.norm)
+            return _norms(np.minimum(y, w), spec.norm)
         if spec.kind == KIND_PRODUCT:
-            return float(y @ w)
+            return np.vecdot(y, w)
+        s = w - lam
         if spec.squared_stationarity:
-            return self._squared(w - lam, y, lam)
+            return np.vecdot(s, s) + np.vecdot(lam, y)
         # stationarity norm plus primal, dual and complementarity sums;
         # |lambda_i y_i| is sign-safe at iterates with negative components
-        stat = _norm(w - lam, spec.norm)
-        primal = float(np.sum(np.maximum(-y, 0.0)))
-        dual = float(np.sum(np.maximum(-lam, 0.0)))
-        comp = float(np.sum(np.abs(lam * y)))
-        return stat + primal + dual + comp
+        return (_norms(s, spec.norm) + np.maximum(-y, 0.0).sum(axis=1)
+                + np.maximum(-lam, 0.0).sum(axis=1) + np.abs(lam * y).sum(axis=1))
+
+    def residual(self, z: np.ndarray) -> float:
+        """The residual at z: one row of ``residuals``."""
+        return float(self.residuals(z[None])[0])
 
     def values(self, trials: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
         """f + alpha * max(r, 0)**gamma at each row of a (k, dim) trial
-        matrix, for the min and kkt kinds, with the bits of ``objective``
-        and ``residual`` on that row and of Python's ``**`` (libm's pow,
-        as ``np.float_power`` calls it; an array ``**`` takes sqrt at 1/2).
-        Each product is an ``np.vecdot`` or ``np.matvec``, per row the BLAS
-        call of a 1-D ``@``.  The sum of f's terms starts from +0.0 and
-        skips the all-zero ones, which leaves its bits as they are: every
-        term is a dot, so no partial sum is -0.0, and a skipped term of a
-        finite row is +0.0.
-        """
-        spec, n, m = self.spec, self.n, self.m
-        x, y, lam = trials[:, :n], trials[:, n:n + m], trials[:, n + m:]
-        fx = sum([term(x, y) for term in self._f_terms], 0.0) + self.f.const
-        w = np.matvec(self.M, y) + (np.matvec(self.Q, x) + self.q0)
-        if spec.kind == KIND_MIN:
-            r = _norms(np.minimum(y, w), spec.norm)
-        elif spec.squared_stationarity:
-            s = w - lam
-            r = np.vecdot(s, s) + np.vecdot(lam, y)
-        else:
-            r = (_norms(w - lam, spec.norm) + np.maximum(-y, 0.0).sum(axis=1)
-                 + np.maximum(-lam, 0.0).sum(axis=1) + np.abs(lam * y).sum(axis=1))
-        return fx + alpha * np.float_power(np.maximum(r, 0.0), gamma)
+        matrix, from ``QuadObjective.values`` and ``residuals`` on the rows;
+        the one evaluator of the penalty, whose row 0 the point functions
+        read (see the module docstring)."""
+        x, y, _ = self._split(trials)
+        return _penalty(self.f.values(x, y), self.residuals(trials), alpha, gamma)
 
     def expansion(self, z: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
         """One-sided growth (r0, slope, curve) of the residual along z + t d,
@@ -323,7 +301,7 @@ class _Kernel:
         s1 = self.rate(dx, dy) - dl
 
         if spec.squared_stationarity:
-            r0 = self._squared(s0, y, lam)
+            r0 = self.residual(z)
             slope = float(2.0 * s0 @ s1 + lam @ dy + y @ dl)
             curve = float(s1 @ s1 + dl @ dy)
             if r0 < 0.0:
@@ -349,8 +327,9 @@ class _Kernel:
 
     def sqrt_grad(self, z: np.ndarray, alpha: float) -> np.ndarray:
         """Gradient of f + alpha * sqrt(r) for the squared-stationarity
-        residual r(z) = ||F(x,y) - lambda||^2 + sum lambda_i y_i, at points
-        with r(z) above the kink tolerance.
+        residual r(z) = ||F(x,y) - lambda||^2 + sum lambda_i y_i, which the
+        kernel's spec must select, at points with r(z) above the kink
+        tolerance.
 
         grad = grad f + (alpha / (2 sqrt(r))) * grad r, with
             d r/dx      = 2 Q'(F - lambda)
@@ -359,7 +338,7 @@ class _Kernel:
         """
         x, y, lam = self._split(z)
         s = self._F(x, y) - lam
-        r = self._squared(s, y, lam)
+        r = self.residual(z)
         if r <= KINK_TOLERANCE:
             raise AtKink(f"residual {r:.3e} is at or below the kink tolerance "
                          f"{KINK_TOLERANCE:.1e}; use directional derivatives")
@@ -412,9 +391,7 @@ def penalized_objective(problem: MpecProblem, z: KktPoint, alpha: float,
     """f(x, y) + alpha * max(r(z), 0)^gamma with r selected by ``spec.kind``."""
     _check_alpha(alpha)
     z.check_dims(problem)
-    kernel, zf = _Kernel(problem, spec), z.to_z()
-    r = max(kernel.residual(zf), 0.0)
-    return kernel.objective(zf) + alpha * r ** spec.gamma
+    return float(_Kernel(problem, spec).values(z.to_z()[None], alpha, spec.gamma)[0])
 
 
 def residual_expansion(problem: MpecProblem, z: KktPoint, d: np.ndarray,
@@ -441,4 +418,4 @@ def grad_penalized_sqrt(problem: MpecProblem, z: KktPoint, alpha: float) -> np.n
     kink tolerance."""
     _check_alpha(alpha)
     z.check_dims(problem)
-    return _Kernel(problem).sqrt_grad(z.to_z(), alpha)
+    return _Kernel(problem, ResidualSpec(squared_stationarity=True)).sqrt_grad(z.to_z(), alpha)

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +101,13 @@ class TestEvalF:
                 rhs = p.M @ y1
                 scale = max(1.0, float(np.max(np.abs(rhs))))
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+    def test_pickled_problem_keeps_its_values(self, addq1):
+        # the objective records the terms it sums as positions, not as
+        # functions, so a problem survives a pickle round trip
+        copy = pickle.loads(pickle.dumps(addq1))
+        x, y = [0.3], [0.2, -0.7]
+        assert copy.f_value(x, y) == addq1.f_value(x, y)
 
 
 class TestProblemFiles:

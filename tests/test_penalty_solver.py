@@ -389,7 +389,8 @@ class TestNaturalLandscape:
 
     def test_no_trial_moves_only_lambda(self):
         # the sweeps evaluate their trials in batches: every row a batch
-        # holds moves z in x or y
+        # holds moves z in x or y; the start's own evaluation, which comes
+        # before the first callback, is no trial and is not counted
         current = [None]
         evaluated, lambda_only = [0], [0]
 
@@ -407,6 +408,8 @@ class TestNaturalLandscape:
             land = _setting_landscape(problem, kind, norm, squared, gamma)
 
             def observed(rows, alpha, gamma, values=land.values, m=m):
+                if current[0] is None:
+                    return values(rows, alpha, gamma)
                 evaluated[0] += len(rows)
                 lambda_only[0] += int(np.sum((rows[:, :-m] == current[0][:-m]).all(axis=1)))
                 return values(rows, alpha, gamma)
@@ -764,7 +767,10 @@ VALUE_SETTINGS = sorted({setting[:4] for setting in instances.RESIDUAL_SETTINGS}
 
 
 def assert_values_per_row(land, trials, alpha, gamma):
-    # every row keeps the bits of ``penalized`` on a fresh copy of it
+    # every row keeps the bits of ``penalized`` on a fresh copy of it;
+    # ``penalized`` is one row of ``values``, so this checks only that a
+    # row's value does not depend on the rows around it (the formulas are
+    # checked against an independent transcription in test_residuals.py)
     got = land.values(trials, alpha, gamma)
     assert got.shape == (len(trials),)
     for i, row in enumerate(trials):
@@ -828,7 +834,7 @@ class TestBatchedValues:
 
     def test_values_of_bilevel_leave_out_its_quadratic_terms(self, bilevel):
         # xx, xy and yy are all zero: only the two linear terms are summed
-        assert len(residuals._Kernel(bilevel)._f_terms) == 2
+        assert bilevel.objective._terms == (3, 4)
         rng = np.random.default_rng(3)
         for kind, norm, squared, gamma in VALUE_SETTINGS:
             land = _setting_landscape(bilevel, kind, norm, squared, gamma)

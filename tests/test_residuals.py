@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpecpen import (
+    AffineParamMap,
     AtKink,
     DimensionMismatch,
     KktPoint,
+    MpecProblem,
+    QuadObjective,
     ResidualSpec,
     grad_penalized_sqrt,
     min_dirderiv,
@@ -384,3 +389,78 @@ class TestSpecValidation:
         spec = ResidualSpec("product", "l2", 0.5)
         assert penalized_objective(lcp_param, z, 3.0, spec) == pytest.approx(
             lcp_param.f_value(z.x, z.y))
+
+
+# -- the point functions against a per-point transcription ----------------
+
+def reference_f(obj, x, y):
+    # all five terms of f in its order, the zero ones included
+    return float(0.5 * x @ (obj.xx @ x) + x @ (obj.xy @ y)
+                 + 0.5 * y @ (obj.yy @ y)
+                 + obj.x_lin @ x + obj.y_lin @ y + obj.const)
+
+
+def _reference_norm(v, norm):
+    return float(np.sum(np.abs(v))) if norm == "l1" else float(np.linalg.norm(v))
+
+
+def reference_residual(problem, spec, z):
+    n, m = problem.n, problem.m
+    x, y, lam = z[:n], z[n:n + m], z[n + m:]
+    w = problem.M @ y + (problem.qmap.Q @ x + problem.qmap.q0)
+    if spec.kind == "min":
+        return _reference_norm(np.minimum(y, w), spec.norm)
+    if spec.kind == "product":
+        return float(y @ w)
+    s = w - lam
+    if spec.squared_stationarity:
+        return float(s @ s + lam @ y)
+    return (_reference_norm(s, spec.norm) + float(np.sum(np.maximum(-y, 0.0)))
+            + float(np.sum(np.maximum(-lam, 0.0))) + float(np.sum(np.abs(lam * y))))
+
+
+#: every residual kind, norm and kkt variant, as (kind, norm, squared)
+ALL_RESIDUALS = [("min", "l1", False), ("min", "l2", False), ("product", "l2", False),
+                 ("kkt", "l1", False), ("kkt", "l2", False), ("kkt", "l2", True)]
+OBJECTIVE_BLOCKS = ("xx", "xy", "yy", "x_lin", "y_lin")
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 8),
+       zeroed=st.sets(st.sampled_from(OBJECTIVE_BLOCKS)),
+       const=st.sampled_from([0.0, -0.0, None]))
+@example(seed=5, n=2, m=3, zeroed=set(OBJECTIVE_BLOCKS), const=-0.0)
+def test_point_functions_match_a_per_point_transcription(seed, n, m, zeroed, const):
+    # residual_value, penalized_objective and f_value against plain 1-D
+    # code that adds every term of f, zero blocks included, and powers
+    # with Python's **; None draws a random constant
+    rng = np.random.default_rng(seed)
+    shapes = {"xx": (n, n), "xy": (n, m), "yy": (m, m), "x_lin": (n,), "y_lin": (m,)}
+    blocks = {b: np.zeros(shape) if b in zeroed else rng.standard_normal(shape)
+              for b, shape in shapes.items()}
+    c = float(rng.standard_normal()) if const is None else const
+    problem = MpecProblem(QuadObjective(**blocks, const=c), np.tile([-1.0, 1.0], (n, 1)),
+                          rng.standard_normal((m, m)),
+                          AffineParamMap(rng.standard_normal((m, n)), rng.standard_normal(m)),
+                          2.0)
+    for _ in range(4):
+        # signed zeros and negative components included
+        z = rng.standard_normal(n + 2 * m) * rng.choice([1e-3, 1.0, 1e3])
+        z[rng.random(z.size) < 0.2] = 0.0
+        z[rng.random(z.size) < 0.1] = -0.0
+        point = problem.split(z)
+        f = reference_f(problem.objective, point.x, point.y)
+        assert _bits(problem.f_value(point.x, point.y)) == _bits(f)
+        for kind, norm, squared in ALL_RESIDUALS:
+            for gamma in (0.5, 1.0, float(rng.uniform(0.05, 1.0))):
+                spec = ResidualSpec(kind, norm, gamma, squared)
+                r = reference_residual(problem, spec, z)
+                assert _bits(residual_value(problem, point, spec)) == _bits(r)
+                for alpha in (0.0, 1.0, 1e4):
+                    want = f + alpha * max(r, 0.0) ** gamma
+                    got = penalized_objective(problem, point, alpha, spec)
+                    assert _bits(got) == _bits(want), (spec, alpha, got, want)
