@@ -258,7 +258,9 @@ class MpecProblem:
     # -- evaluations ----------------------------------------------------
 
     def f_value(self, x, y) -> float:
-        return self.objective.value(x, y)
+        """The upper-level objective f(x, y)."""
+        return self.objective.value(_as_vector(x, "x", size=self.n),
+                                    _as_vector(y, "y", size=self.m))
 
     def F(self, x, y) -> np.ndarray:
         """The lower-level map F(x, y) = M y + q(x)."""

@@ -46,10 +46,13 @@ penalties do admit), or the round budget runs out.  The poll matrix also
 defines that certificate: the stationarity measure is the steepest
 one-sided descent of the penalized objective along its box-feasible rows,
 so a point is certified only when no direction the search polls descends.
+Those rows go through the directional calculus as one direction matrix,
+in one pass, and each row's slope has the bits of that row alone.
 
 Everything runs on a small landscape interface (objective, residual,
-batched values, growth expansion, box), so the same loop drives both LCP-MPEC problems
-and custom one-dimensional constructions.
+batched values, row-wise growth expansions and slopes, box), so the same
+loop drives both LCP-MPEC problems and custom one-dimensional
+constructions.
 """
 
 from __future__ import annotations
@@ -155,10 +158,13 @@ class Landscape:
     upper: np.ndarray
     objective: Callable[[np.ndarray], float]
     residual: Callable[[np.ndarray], float]
-    #: one-sided growth (r0, slope, curve) of the residual along z + t d
-    expansion: Callable[[np.ndarray, np.ndarray], tuple[float, float, float]]
-    #: directional derivative of the smooth objective part
-    objective_slope: Callable[[np.ndarray, np.ndarray], float]
+    #: one-sided growth (r0, slope, curve) of the residual along z + t d for
+    #: each row d of a (k, dim) direction matrix, each with one entry per row
+    expansion: Callable[[np.ndarray, np.ndarray],
+                        tuple[np.ndarray, np.ndarray, np.ndarray]]
+    #: directional derivative of the smooth objective part along each row
+    #: of a (k, dim) direction matrix
+    objective_slope: Callable[[np.ndarray, np.ndarray], np.ndarray]
     #: maps a raw iterate to the KktPoint a report gives
     as_point: Callable[[np.ndarray], KktPoint]
     #: f + alpha * max(r, 0)**gamma at each row of a (k, dim) trial matrix,
@@ -229,7 +235,7 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
             dx, dy = steps[finite], dy[finite]
             dl = np.zeros_like(dy)
             if not natural:
-                dl[:, ~active] = kernel.rate(dx[..., None], dy[..., None])[:, ~active, 0]
+                dl[:, ~active] = kernel.rates(dx, dy)[:, ~active]
             rows = np.concatenate([dx, dy, dl], axis=1)
             # the max-abs entry is at least the step's 1, and x / 1 is exact
             block[finite] = rows / np.max(np.abs(rows), axis=1, keepdims=True)
@@ -290,16 +296,15 @@ def q5_toy_landscape() -> Landscape:
     def values(trials, alpha, gamma):
         return res._penalty(trials[:, 0], residuals(trials), alpha, gamma)
 
-    def objective_slope(z, d):
-        return float(d[0])
+    def objective_slope(z, D):
+        return D[:, 0]
 
-    def expansion(z, d):
-        t, dt = float(z[0]), float(d[0])
-        a, b = (float(v[0]) for v in branches(z[:1]))
-        da, db = 2.0 * t * dt, 2.0 * (t - 3.0) * dt
-        slope = res.min_dirderiv(a, b, da, db)
+    def expansion(z, D):
+        t, dt = z[0], D[:, 0]
+        a, b = branches(z[:1])
+        slope = res._min_rates(a, b, 2.0 * t * dt, 2.0 * (t - 3.0) * dt)
         # both branches have unit quadratic coefficient in t
-        return residual(z), slope, dt * dt
+        return np.full(len(D), residual(z)), slope, dt * dt
 
     return Landscape(lower=lower, upper=upper, objective=objective,
                      residual=residual, expansion=expansion,
@@ -381,13 +386,14 @@ def stationarity_measure(land: Landscape, z: np.ndarray, alpha: float,
                          gamma: float) -> float:
     """Most negative directional derivative of the penalized objective
     along the rows of the compass's poll matrix at z, clamped at zero.
-    Rows that leave the box at a face z sits on are skipped."""
+    Rows that leave the box at a face z sits on are skipped; the others
+    go through the calculus as one direction matrix."""
     polls = _polls(land, z, _coordinate_polls(land.dim))
     leaves = ((polls > 0.0) & (z >= land.upper)) | ((polls < 0.0) & (z <= land.lower))
-    worst = min([0.0] + [res._penalized_slope(land.objective_slope, land.expansion, z, d,
-                                              alpha, gamma)
-                         for d in polls[~leaves.any(axis=1)]])
-    return -worst if worst < 0.0 else 0.0
+    slopes = res._penalized_slopes(land.objective_slope, land.expansion, z,
+                                   polls[~leaves.any(axis=1)], alpha, gamma)
+    worst = np.min(slopes, initial=0.0)
+    return float(-worst) if worst < 0.0 else 0.0
 
 
 def check_stationarity(problem: MpecProblem, z: KktPoint, alpha: float,

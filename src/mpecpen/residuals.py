@@ -18,10 +18,16 @@ penalty and the default landscape the solver runs on.  On the search box
 (y, lambda >= 0) both variants vanish exactly on the feasible set.
 
 The directional machinery reports the one-sided growth of a residual
-along a ray, r(z + t d) = r0 + slope*t + curve*t^2 + o(t^2), with the
+along each ray of a poll set, r(z + t d) = r0 + slope*t + curve*t^2
++ o(t^2) for each row d of a (k, dim) direction matrix D, with the
 convention that ``curve`` is only tracked (and only needed) when the ray
 starts on the zero set with zero slope; that is the case that decides
 whether a fractional-power penalty has a finite directional derivative.
+A single direction is a one-row matrix.  Every piece is formed entrywise
+(``np.where`` over the cases of the one-sided expansion), and a growth
+that is a sum of pieces, one per component and kind, is added by
+``np.cumsum`` left to right from +0.0: that is the order of a loop over
+the components, where ``.sum()`` would add pairwise and change the bits.
 
 Each formula is written once, in ``_Kernel``: built once per (problem,
 spec), it works on the flat vector z = (x, y, lambda) and neither builds
@@ -40,9 +46,10 @@ once.  A row's value does not depend on the rows around it: the per-row
 products are ``np.vecdot`` and ``np.matvec``, which make per row the
 BLAS call of a 1-D ``@``, and the power is libm's pow, as Python's ``**``
 is.  So a compass sweep that evaluates its trials in one batch gets, bit
-for bit, the values of evaluating each trial alone.  The objective leaves
-out each term whose block is all zero, which changes no bit of a finite
-row (see ``QuadObjective.values``).
+for bit, the values of evaluating each trial alone, and the slopes along
+a poll matrix are, bit for bit, those of each direction alone.  The
+objective leaves out each term whose block is all zero, which changes no
+bit of a finite row (see ``QuadObjective.values``).
 """
 
 from __future__ import annotations
@@ -128,87 +135,93 @@ def product_residual(y, w) -> float:
     return float(y @ w)
 
 
+def _min_rates(u, v, du, dv) -> np.ndarray:
+    # entrywise rate of min(u, v) along (du, dv): the active branch's rate
+    # away from ties, the smaller rate at a tie (dv < du picks dv, as
+    # Python's min(du, dv) does)
+    return np.where(u < v, du, np.where(u > v, dv, np.where(dv < du, dv, du)))
+
+
 def min_dirderiv(u: float, v: float, du: float, dv: float) -> float:
     """Directional derivative of (u, v) -> min(u, v) along (du, dv).
 
     Three cases: the active branch's rate away from ties, and the smaller
     rate at a tie (a perturbation follows whichever branch drops faster).
     """
-    if u < v:
-        return du
-    if u > v:
-        return dv
-    return min(du, dv)
+    return float(_min_rates(u, v, du, dv))
 
 
 # -- one-sided growth expansions -----------------------------------------
+# entrywise, so a (k, m) matrix holds the pieces of k directions at once
 
-def _abs_pieces(value: float, rate: float, accel: float = 0.0) -> tuple[float, float, float]:
+def _abs_pieces(value, rate, accel=0.0):
     # expansion of |value + rate*t + accel*t^2| for t -> 0+
-    if value > 0.0:
-        return value, rate, accel
-    if value < 0.0:
-        return -value, -rate, -accel
-    if rate != 0.0:
-        return 0.0, abs(rate), math.copysign(accel, rate)
-    return 0.0, 0.0, abs(accel)
+    at_zero = np.where(rate != 0.0, np.copysign(accel, rate), np.abs(accel))
+    return (np.abs(value),
+            np.where(value > 0.0, rate, np.where(value < 0.0, -rate, np.abs(rate))),
+            np.where(value > 0.0, accel, np.where(value < 0.0, -accel, at_zero)))
 
 
-def _pos_pieces(value: float, rate: float) -> tuple[float, float]:
+def _pos_pieces(value, rate):
     # expansion of [value + rate*t]_+ for t -> 0+ (affine argument)
-    if value > 0.0:
-        return value, rate
-    if value < 0.0:
-        return 0.0, 0.0
-    return 0.0, max(rate, 0.0)
+    return (np.where(value > 0.0, value, 0.0),
+            np.where(value > 0.0, rate, np.where((value < 0.0) | (rate < 0.0), 0.0, rate)))
+
+
+def _added(*blocks: np.ndarray) -> np.ndarray:
+    # per row, the entries of the (k,) or (k, j) blocks side by side, added
+    # left to right from +0.0 (np.cumsum keeps that order; .sum() would add
+    # pairwise and change the bits)
+    k = len(blocks[0])
+    pieces = [np.zeros((k, 1))] + [np.reshape(b, (k, math.prod(b.shape[1:]))) for b in blocks]
+    return np.cumsum(np.concatenate(pieces, axis=1), axis=1)[:, -1]
 
 
 def _norm_pieces(value: np.ndarray, rate: np.ndarray,
-                 norm: str) -> tuple[float, float, float]:
-    # expansion of ||value + rate*t|| for t -> 0+ (affine argument)
+                 norm: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # expansion of ||value + rate*t|| for t -> 0+ in each row (affine argument)
     if norm == NORM_L1:
-        r0 = slope = curve = 0.0
-        for i in range(value.size):
-            v, s, c = _abs_pieces(value[i], rate[i])
-            r0, slope, curve = r0 + v, slope + s, curve + c
-        return r0, slope, curve
-    r0 = float(np.linalg.norm(value))
-    if r0 > 0.0:
-        return r0, float(value @ rate) / r0, 0.0
-    return 0.0, float(np.linalg.norm(rate)), 0.0
+        return tuple(_added(p) for p in _abs_pieces(value, rate))
+    r0 = _norms(value, NORM_L2)
+    # value'rate / r0 off the zero set, ||rate|| on it
+    slope = np.divide(np.vecdot(value, rate), r0, out=_norms(rate, NORM_L2), where=r0 > 0.0)
+    return r0, slope, np.zeros(len(r0))
 
 
-def power_slope(r0: float, slope: float, curve: float, gamma: float) -> float:
+def power_slope(r0, slope, curve, gamma: float) -> np.ndarray:
     """One-sided directional derivative of t -> r(t)^gamma at t = 0+,
-    given the growth expansion of r.  Returns +inf where a fractional
-    power has a vertical tangent (never a descent direction)."""
-    if r0 > KINK_TOLERANCE:
-        return gamma * r0 ** (gamma - 1.0) * slope
+    entrywise, given the growth expansion of r.  Returns +inf where a
+    fractional power has a vertical tangent (never a descent direction)."""
     # on (or numerically at) the zero set
     if gamma == 1.0:
-        return slope
-    if slope > KINK_TOLERANCE:
-        return math.inf
-    if slope < -KINK_TOLERANCE:
+        at_zero = slope
+    else:
+        # the power's slope where r has no first-order growth
+        if gamma > 0.5:
+            flat = 0.0
+        elif gamma == 0.5:
+            flat = np.sqrt(np.where(curve < 0.0, 0.0, curve))
+        else:
+            flat = np.where(curve > 0.0, np.inf, 0.0)
         # residuals are nonnegative, so a genuinely negative slope at the
-        # zero set cannot occur; treat defensively as flat
-        return 0.0
-    if gamma > 0.5:
-        return 0.0
-    if gamma == 0.5:
-        return math.sqrt(max(curve, 0.0))
-    return math.inf if curve > 0.0 else 0.0
+        # zero set cannot occur; treat it defensively as flat
+        at_zero = np.where(slope > KINK_TOLERANCE, np.inf,
+                           np.where(slope < -KINK_TOLERANCE, 0.0, flat))
+    off = r0 > KINK_TOLERANCE
+    return np.where(off, gamma * np.float_power(np.where(off, r0, 1.0), gamma - 1.0) * slope,
+                    at_zero)
 
 
-def _penalized_slope(objective_slope, expansion, z: np.ndarray, d: np.ndarray,
-                     alpha: float, gamma: float) -> float:
-    """One-sided directional derivative of f + alpha * r^gamma along d,
-    from the slope of f and the growth expansion of r; +inf where the
-    power has a vertical tangent (the slope of f is then not needed)."""
-    pslope = power_slope(*expansion(z, d), gamma)
-    if math.isinf(pslope):
-        return math.inf
-    return objective_slope(z, d) + alpha * pslope
+def _penalized_slopes(objective_slope, expansion, z: np.ndarray, D: np.ndarray,
+                      alpha: float, gamma: float) -> np.ndarray:
+    """One-sided directional derivative of f + alpha * r^gamma along each
+    row of D, from the slopes of f and the growth expansions of r; +inf
+    where the power has a vertical tangent (the slope of f is then not
+    read)."""
+    pslope = power_slope(*expansion(z, D), gamma)
+    vertical = np.isinf(pslope)
+    return np.where(vertical, np.inf,
+                    objective_slope(z, D) + alpha * np.where(vertical, 0.0, pslope))
 
 
 # -- the flat kernel -----------------------------------------------------
@@ -233,19 +246,20 @@ class _Kernel:
         """F(x, y) at a point, or at each row of stacked (x, y)."""
         return np.matvec(self.M, y) + (np.matvec(self.Q, x) + self.q0)
 
-    def rate(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        """Rate of change of F along (dx, dy), or along stacked columns."""
-        return self.M @ dy + self.Q @ dx
+    def rates(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """Rate of change of F along each row of stacked (dx, dy)."""
+        return np.matvec(self.M, dy) + np.matvec(self.Q, dx)
 
     def objective(self, z: np.ndarray) -> float:
         x, y, _ = self._split(z)
         return self.f.value(x, y)
 
-    def objective_slope(self, z: np.ndarray, d: np.ndarray) -> float:
+    def objective_slope(self, z: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """The slope of f at z along each row of a (k, dim) direction matrix."""
         x, y, _ = self._split(z)
-        dx, dy, _ = self._split(d)
+        dx, dy, _ = self._split(D)
         gx, gy = self.f.grad(x, y)
-        return float(gx @ dx + gy @ dy)
+        return np.vecdot(gx, dx) + np.vecdot(gy, dy)
 
     def residuals(self, trials: np.ndarray) -> np.ndarray:
         """The residual selected by spec.kind (and the kkt variant) at each
@@ -277,53 +291,47 @@ class _Kernel:
         x, y, _ = self._split(trials)
         return _penalty(self.f.values(x, y), self.residuals(trials), alpha, gamma)
 
-    def expansion(self, z: np.ndarray, d: np.ndarray) -> tuple[float, float, float]:
-        """One-sided growth (r0, slope, curve) of the residual along z + t d,
+    def expansion(self, z: np.ndarray, D: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One-sided growth (r0, slope, curve) of the residual along z + t d
+        for each row d of a (k, dim) direction matrix D, one entry per row,
         for the min and kkt kinds (see ``penalty_kernel``).
 
         ``slope`` is the one-sided directional derivative of the residual.
         ``curve`` is the quadratic growth coefficient, exact whenever r0 = 0
         and slope = 0 (the only case the penalty calculus needs it).
         """
-        spec, m = self.spec, self.m
-        x, y, lam = self._split(z)
-        dx, dy, dl = self._split(d)
+        spec = self.spec
+        # z repeated on each row, so every piece below has one row per direction
+        zs = np.broadcast_to(z, D.shape)
+        x, y, lam = self._split(zs)
+        dx, dy, dl = self._split(D)
 
         if spec.kind == KIND_MIN:
             w = self._F(x, y)
-            dw = self.rate(dx, dy)
-            vals = np.minimum(y, w)
-            rates = np.array([min_dirderiv(y[i], w[i], dy[i], dw[i]) for i in range(m)])
-            return _norm_pieces(vals, rates, spec.norm)
+            rates = _min_rates(y, w, dy, self.rates(dx, dy))
+            return _norm_pieces(np.minimum(y, w), rates, spec.norm)
 
         # kkt kinds
         s0 = self._F(x, y) - lam
-        s1 = self.rate(dx, dy) - dl
+        s1 = self.rates(dx, dy) - dl
 
         if spec.squared_stationarity:
-            r0 = self.residual(z)
-            slope = float(2.0 * s0 @ s1 + lam @ dy + y @ dl)
-            curve = float(s1 @ s1 + dl @ dy)
-            if r0 < 0.0:
-                # off-box point where the raw product went negative; the
-                # clamped residual is locally zero
-                return 0.0, 0.0, 0.0
-            return r0, slope, curve
+            r0 = self.residuals(zs)
+            slope = np.vecdot(2.0 * s0, s1) + np.vecdot(lam, dy) + np.vecdot(y, dl)
+            curve = np.vecdot(s1, s1) + np.vecdot(dl, dy)
+            # at an off-box point where the raw product went negative the
+            # clamped residual is locally zero
+            return tuple(np.where(r0 < 0.0, 0.0, v) for v in (r0, slope, curve))
 
-        # stationarity block; 0.0 + turns a -0.0 slope into +0.0, as the sums below do
+        # the stationarity block, then y_i, lambda_i and |lambda_i y_i| for
+        # each i, interleaved by component
         v, sl, cu = _norm_pieces(s0, s1, spec.norm)
-        r0, slope, curve = 0.0 + v, 0.0 + sl, 0.0 + cu
-        for i in range(m):
-            v, sl = _pos_pieces(-y[i], -dy[i])
-            r0, slope = r0 + v, slope + sl
-            v, sl = _pos_pieces(-lam[i], -dl[i])
-            r0, slope = r0 + v, slope + sl
-            p0 = lam[i] * y[i]
-            p1 = lam[i] * dy[i] + y[i] * dl[i]
-            p2 = dl[i] * dy[i]
-            v, sl, cu = _abs_pieces(p0, p1, p2)
-            r0, slope, curve = r0 + v, slope + sl, curve + cu
-        return r0, slope, curve
+        yv, ys = _pos_pieces(-y, -dy)
+        lv, ls = _pos_pieces(-lam, -dl)
+        pv, ps, pc = _abs_pieces(lam * y, lam * dy + y * dl, dl * dy)
+        return (_added(v, np.stack([yv, lv, pv], axis=2)),
+                _added(sl, np.stack([ys, ls, ps], axis=2)), _added(cu, pc))
 
     def sqrt_grad(self, z: np.ndarray, alpha: float) -> np.ndarray:
         """Gradient of f + alpha * sqrt(r) for the squared-stationarity
@@ -399,7 +407,7 @@ def residual_expansion(problem: MpecProblem, z: KktPoint, d: np.ndarray,
     """One-sided growth (r0, slope, curve) of the residual along z + t d;
     see ``_Kernel.expansion``."""
     d = _checked_direction(problem, z, d)
-    return penalty_kernel(problem, spec).expansion(z.to_z(), d)
+    return tuple(float(v[0]) for v in penalty_kernel(problem, spec).expansion(z.to_z(), d[None]))
 
 
 def penalized_dirderiv(problem: MpecProblem, z: KktPoint, d: np.ndarray,
@@ -408,8 +416,8 @@ def penalized_dirderiv(problem: MpecProblem, z: KktPoint, d: np.ndarray,
     _check_alpha(alpha)
     d = _checked_direction(problem, z, d)
     kernel = penalty_kernel(problem, spec)
-    return _penalized_slope(kernel.objective_slope, kernel.expansion, z.to_z(), d,
-                            alpha, spec.gamma)
+    return float(_penalized_slopes(kernel.objective_slope, kernel.expansion, z.to_z(),
+                                   d[None], alpha, spec.gamma)[0])
 
 
 def grad_penalized_sqrt(problem: MpecProblem, z: KktPoint, alpha: float) -> np.ndarray:

@@ -90,6 +90,19 @@ class TestEvalF:
         with pytest.raises(DimensionMismatch):
             lcp_param.F([1.0], [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("x, y, match", [
+        ([1.0, 2.0], [0.0, 0.0], "x must have length 1"),
+        ([1.0], [0.0], "y must have length 2"),
+        ([np.inf], [0.0, 0.0], "x contains non-finite"),
+        ([1.0], [0.0, np.nan], "y contains non-finite"),
+    ], ids=["x-length", "y-length", "x-inf", "y-nan"])
+    def test_f_value_checks_its_point_as_F_does(self, addq1, x, y, match):
+        # unchecked, a wrong length raised numpy's ValueError and an
+        # infinite entry gave an infinite objective
+        for call in (addq1.F, addq1.f_value):
+            with pytest.raises(DimensionMismatch, match=match):
+                call(x, y)
+
     def test_affinity(self, lcp_param, addq1):
         rng = np.random.default_rng(7)
         for p in (lcp_param, addq1):

@@ -194,7 +194,6 @@ def reference_tangent_dirs(problem, spec, base, degen):
     stacked completions: one solve, finiteness test and rate product per
     signed unit step."""
     n, m = problem.n, problem.m
-    kernel = residuals.penalty_kernel(problem, spec)
     M, Q = problem.M, problem.qmap.Q
     natural = spec.kind == residuals.KIND_MIN
     patterns = [np.flatnonzero(base)]
@@ -219,7 +218,7 @@ def reference_tangent_dirs(problem, spec, base, degen):
                         continue
                 dl = np.zeros(m)
                 if not natural:
-                    slack_rate = kernel.rate(dx, dy)
+                    slack_rate = M @ dy + Q @ dx
                     dl[inact] = slack_rate[inact]
                 d = np.concatenate([dx, dy, dl])
                 scale = float(np.max(np.abs(d)))

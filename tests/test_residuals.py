@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from mpecpen import (
     product_residual,
     residual_value,
 )
-from mpecpen.penalty_solver import landscape_from_problem
+from mpecpen.penalty_solver import (
+    _coordinate_polls,
+    _polls,
+    landscape_from_problem,
+    q5_toy_landscape,
+    stationarity_measure,
+)
 from mpecpen.residuals import penalized_dirderiv, power_slope, residual_expansion
 
 SQ = ResidualSpec("kkt", "l2", 0.5, squared_stationarity=True)
@@ -464,3 +471,199 @@ def test_point_functions_match_a_per_point_transcription(seed, n, m, zeroed, con
                     want = f + alpha * max(r, 0.0) ** gamma
                     got = penalized_objective(problem, point, alpha, spec)
                     assert _bits(got) == _bits(want), (spec, alpha, got, want)
+
+
+# -- the row-wise calculus against a scalar transcription ------------------
+
+def _ref_abs(value, rate, accel=0.0):
+    # expansion of |value + rate*t + accel*t^2|, one component
+    if value > 0.0:
+        return value, rate, accel
+    if value < 0.0:
+        return -value, -rate, -accel
+    if rate != 0.0:
+        return 0.0, abs(rate), math.copysign(accel, rate)
+    return 0.0, 0.0, abs(accel)
+
+
+def _ref_pos(value, rate):
+    # expansion of [value + rate*t]_+, one component
+    if value > 0.0:
+        return value, rate
+    if value < 0.0:
+        return 0.0, 0.0
+    return 0.0, max(rate, 0.0)
+
+
+def _ref_norm(value, rate, norm):
+    if norm == "l1":
+        r0 = slope = curve = 0.0
+        for i in range(value.size):
+            v, s, c = _ref_abs(value[i], rate[i])
+            r0, slope, curve = r0 + v, slope + s, curve + c
+        return r0, slope, curve
+    r0 = float(np.linalg.norm(value))
+    if r0 > 0.0:
+        return r0, float(value @ rate) / r0, 0.0
+    return 0.0, float(np.linalg.norm(rate)), 0.0
+
+
+def _ref_min_rate(u, v, du, dv):
+    if u < v:
+        return du
+    if u > v:
+        return dv
+    return min(du, dv)
+
+
+def reference_expansion(problem, spec, z, d):
+    """(r0, slope, curve) along one direction, one component at a time."""
+    n, m = problem.n, problem.m
+    x, y, lam = z[:n], z[n:n + m], z[n + m:]
+    dx, dy, dl = d[:n], d[n:n + m], d[n + m:]
+    w = problem.M @ y + (problem.qmap.Q @ x + problem.qmap.q0)
+    dw = problem.M @ dy + problem.qmap.Q @ dx
+    if spec.kind == "min":
+        rates = np.array([_ref_min_rate(y[i], w[i], dy[i], dw[i]) for i in range(m)])
+        return _ref_norm(np.minimum(y, w), rates, spec.norm)
+    s0, s1 = w - lam, dw - dl
+    if spec.squared_stationarity:
+        r0 = reference_residual(problem, spec, z)
+        if r0 < 0.0:
+            return 0.0, 0.0, 0.0
+        return r0, float(2.0 * s0 @ s1 + lam @ dy + y @ dl), float(s1 @ s1 + dl @ dy)
+    v, sl, cu = _ref_norm(s0, s1, spec.norm)
+    r0, slope, curve = 0.0 + v, 0.0 + sl, 0.0 + cu
+    for i in range(m):
+        v, sl = _ref_pos(-y[i], -dy[i])
+        r0, slope = r0 + v, slope + sl
+        v, sl = _ref_pos(-lam[i], -dl[i])
+        r0, slope = r0 + v, slope + sl
+        v, sl, cu = _ref_abs(lam[i] * y[i], lam[i] * dy[i] + y[i] * dl[i], dl[i] * dy[i])
+        r0, slope, curve = r0 + v, slope + sl, curve + cu
+    return r0, slope, curve
+
+
+def reference_power_slope(r0, slope, curve, gamma):
+    if r0 > 1e-12:
+        return gamma * r0 ** (gamma - 1.0) * slope
+    if gamma == 1.0:
+        return slope
+    if slope > 1e-12:
+        return math.inf
+    if slope < -1e-12:
+        return 0.0
+    if gamma > 0.5:
+        return 0.0
+    if gamma == 0.5:
+        return math.sqrt(max(curve, 0.0))
+    return math.inf if curve > 0.0 else 0.0
+
+
+def reference_dirderiv(f_slope, growth, alpha, gamma):
+    pslope = reference_power_slope(*growth, gamma)
+    return math.inf if math.isinf(pslope) else f_slope + alpha * pslope
+
+
+def reference_measure(land, z, slopes_of):
+    """The most negative of the slopes along the poll rows that stay in the
+    box, clamped at zero, taken one row at a time."""
+    polls = _polls(land, z, _coordinate_polls(land.dim))
+    leaves = ((polls > 0.0) & (z >= land.upper)) | ((polls < 0.0) & (z <= land.lower))
+    worst = min([0.0] + [slopes_of(d) for d in polls[~leaves.any(axis=1)]])
+    return -worst if worst < 0.0 else 0.0
+
+
+def reference_f_slope(problem, z, d):
+    n, m = problem.n, problem.m
+    gx, gy = problem.objective.grad(z[:n], z[n:n + m])
+    return float(gx @ d[:n] + gy @ d[n:n + m])
+
+
+def reference_toy_expansion(z, d):
+    # the q5 toy's r(t) = min(t^2, (t - 3)^2 + 1) along one direction
+    t, dt = float(z[0]), float(d[0])
+    a, b = t * t, (t - 3.0) ** 2.0 + 1.0
+    return min(a, b), _ref_min_rate(a, b, 2.0 * t * dt, 2.0 * (t - 3.0) * dt), dt * dt
+
+
+#: the five residual settings the penalty calculus is defined on
+PENALTY_SETTINGS = [setting for setting in ALL_RESIDUALS if setting[0] != "product"]
+GAMMAS = (0.25, 0.5, 0.75, 1.0)
+ALPHAS = (0.0, 1.0, 1e3)
+#: small grids, so that exact zeros, ties and zero slopes occur
+GRID = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+TOY_GRID = np.array([-1.0, -0.0, 0.5, 1.0, 2.0, 2.75, 3.0, 4.0])
+
+
+def assert_measures(land, z, slope_of):
+    # stationarity_measure at z for every gamma and alpha, and on the box
+    # pinned at z, which every poll row leaves, so that no row is polled;
+    # slope_of(d) gives the reference (f slope, growth) along a row
+    pinned = replace(land, lower=z, upper=z)
+    known = {}
+    for gamma in GAMMAS:
+        for alpha in ALPHAS:
+            def slopes_of(d, alpha=alpha, gamma=gamma):
+                if d.tobytes() not in known:
+                    known[d.tobytes()] = slope_of(d)
+                return reference_dirderiv(*known[d.tobytes()], alpha, gamma)
+            want = reference_measure(land, z, slopes_of)
+            assert _bits(stationarity_measure(land, z, alpha, gamma)) == _bits(want)
+            assert stationarity_measure(pinned, z, alpha, gamma) == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3), m=st.integers(1, 8),
+       t=st.sampled_from(TOY_GRID))
+@example(seed=3, n=1, m=1, t=4.0)
+def test_calculus_matches_a_scalar_transcription(seed, n, m, t):
+    # residual_expansion, penalized_dirderiv and stationarity_measure by
+    # bits against code that takes one component and one direction at a
+    # time, with integer problem data, at grid points on the feasible set
+    # and off it; the q5 toy's rows too
+    rng = np.random.default_rng(seed)
+
+    def ints(*shape):
+        return rng.integers(-2, 3, size=shape).astype(float)
+
+    problem = MpecProblem(QuadObjective(ints(n, n), ints(n, m), ints(m, m), ints(n), ints(m)),
+                          np.tile([-1.0, 1.0], (n, 1)), ints(m, m),
+                          AffineParamMap(ints(m, n), ints(m)), 2.0)
+    dim = n + 2 * m
+    for _ in range(3):
+        # grid points, and Gaussian ones, whose sums round
+        z = rng.choice(GRID, size=dim) if rng.random() < 0.7 else rng.standard_normal(dim)
+        if rng.random() < 0.5:
+            # a zero stationarity block, and complementary pairs where y = 0
+            z[n + m:] = problem.F(z[:n], z[n:n + m])
+            z[n:n + m] *= rng.random(m) < 0.5
+        point = problem.split(z)
+        dirs = np.vstack([rng.choice(GRID, size=dim), rng.standard_normal(dim)])
+        for kind, norm, squared in PENALTY_SETTINGS:
+            # the growth reads no gamma
+            spec = ResidualSpec(kind, norm, 1.0, squared)
+            growth = [reference_expansion(problem, spec, z, d) for d in dirs]
+            for d, want in zip(dirs, growth):
+                got = residual_expansion(problem, point, d, spec)
+                assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            for gamma in GAMMAS:
+                for alpha in ALPHAS:
+                    for d, g in zip(dirs, growth):
+                        want = reference_dirderiv(reference_f_slope(problem, z, d), g, alpha, gamma)
+                        got = penalized_dirderiv(problem, point, d, alpha, replace(spec, gamma=gamma))
+                        assert _bits(got) == _bits(want), (spec, gamma, alpha, d)
+            land = landscape_from_problem(problem, spec)
+            zb = np.clip(z, land.lower, land.upper)
+            assert_measures(land, zb, lambda d: (reference_f_slope(problem, zb, d),
+                                                 reference_expansion(problem, spec, zb, d)))
+    # min_dirderiv at ties with signed zero rates, where np.minimum would
+    # pick the other zero than Python's min
+    for u, v, du, dv in rng.choice(GRID, size=(20, 4)):
+        assert _bits(min_dirderiv(u, v, du, dv)) == _bits(_ref_min_rate(u, v, du, dv))
+    toy, zt = q5_toy_landscape(), np.array([t])
+    rows = GRID[:, None]
+    got = toy.expansion(zt, rows)
+    for i, d in enumerate(rows):
+        assert [_bits(v[i]) for v in got] == [_bits(v) for v in reference_toy_expansion(zt, d)]
+    assert_measures(toy, zt, lambda d: (float(d[0]), reference_toy_expansion(zt, d)))
