@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import matrix_norm, vector_norm
 
 from .errors import DimensionMismatch, EmptyPolyhedron, TooFewSamples
 from .lcp_oracle import (SolutionSet, _index_sets, _solve_stack, distance_to_solution_set,
@@ -213,20 +214,6 @@ def _kkt_candidate(A, a, B, b, x, J):
     return z, float(np.linalg.norm(z - x))
 
 
-def _norm(v: np.ndarray, axis=-1) -> np.ndarray:
-    return np.sqrt(np.sum(v * v, axis=axis))
-
-
-def _rowvec(v: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Row j is v[j] @ mats[j]."""
-    return (v[:, None, :] @ mats)[:, 0, :]
-
-
-def _matvec(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row j is mats[j] @ v[j]."""
-    return (mats @ v[..., None])[..., 0]
-
-
 def _gram_floor(S: np.ndarray, S_err: np.ndarray, X: np.ndarray, g: float) -> np.ndarray:
     """Lower bounds on the smallest eigenvalue of exact symmetric positive
     semidefinite matrices known as computed S with |S - exact| <= S_err,
@@ -240,8 +227,8 @@ def _gram_floor(S: np.ndarray, S_err: np.ndarray, X: np.ndarray, g: float) -> np
     eye = np.eye(S.shape[-1])
     absX = np.abs(X)
     E = np.abs(eye - X @ S) + g * (absX @ np.abs(S) + eye) + absX @ S_err
-    eta = _norm(E, axis=(-2, -1)) * (1 + g)
-    floor = (1 - eta) / (_norm(X, axis=(-2, -1)) * (1 + g)) * (1 - g)
+    eta = matrix_norm(E) * (1 + g)
+    floor = (1 - eta) / (matrix_norm(X) * (1 + g)) * (1 - g)
     return np.where(eta <= 0.5, floor, 0.0)
 
 
@@ -313,50 +300,52 @@ def _screen(A, a, B, b, x, idx):
     Rt, absR = R.transpose(0, 2, 1), np.abs(R)
     absRt = absR.transpose(0, 2, 1)
     g = gamma((dim + k + 2) ** 2)
-    norm_R = _norm(R, axis=(-2, -1)) * (1 + g)
+    norm_R = matrix_norm(R) * (1 + g)
     with np.errstate(all="ignore"):
         if k > dim:
             N = Rt @ R
             sol = _solve_stack(N, np.concatenate(
-                [_rowvec(rhs, R)[..., None], np.broadcast_to(np.eye(dim), N.shape)], axis=2))
+                [np.vecmat(rhs, R)[..., None], np.broadcast_to(np.eye(dim), N.shape)], axis=2))
             z_l = sol[..., 0]
             sig = np.sqrt(_gram_floor(N, g * (absRt @ absR), sol[..., 1:], g)) * (1 - g)
-            r = _matvec(R, z_l) - rhs
-            e_r = _norm(g * (_matvec(absR, np.abs(z_l)) + np.abs(rhs))) * (1 + g)
-            grad = (_norm(_rowvec(r, R)) + g * _norm(_rowvec(np.abs(r), absR))
+            r = np.matvec(R, z_l) - rhs
+            e_r = vector_norm(g * (np.matvec(absR, np.abs(z_l)) + np.abs(rhs)), axis=-1) * (1 + g)
+            grad = (vector_norm(np.vecmat(r, R), axis=-1)
+                    + g * vector_norm(np.vecmat(np.abs(r), absR), axis=-1)
                     + norm_R * e_r) * (1 + g)
-            low = (_norm(r) * (1 - g) - e_r - grad / sig) * (1 - g)
-            z_hi = (_norm(z_l) + grad / sig ** 2) * (1 + g)
+            low = (vector_norm(r, axis=-1) * (1 - g) - e_r - grad / sig) * (1 - g)
+            z_hi = (vector_norm(z_l, axis=-1) + grad / sig ** 2) * (1 + g)
             theta = g * norm_R / sig
-            bound = ((np.sqrt(k) * _CHECK_TOL + g * (norm_R * z_hi + _norm(rhs)))
+            bound = ((np.sqrt(k) * _CHECK_TOL + g * (norm_R * z_hi + vector_norm(rhs, axis=-1)))
                      / (1 - theta) * (1 + g) ** 2)
             fails = (theta <= 0.5) & (low > bound)
             return fails, d_lo
-        t = _matvec(R, x) - rhs
+        t = np.matvec(R, x) - rhs
         G = R @ Rt
         G_err = g * (absR @ absRt)
         sol = _solve_stack(G, np.concatenate(
             [t[..., None], np.broadcast_to(np.eye(k), G.shape)], axis=2))
         y = sol[..., 0]
         sig = np.sqrt(_gram_floor(G, G_err, sol[..., 1:], g)) * (1 - g)
-        z = x - _rowvec(y, R)
-        e_z = g * (np.abs(x) + _rowvec(np.abs(y), absR))
-        rho = (np.abs(_matvec(G, y) - t) + g * (_matvec(np.abs(G), np.abs(y)) + np.abs(t))
-               + _matvec(G_err, np.abs(y)) + g * (_matvec(absR, np.abs(x)) + np.abs(rhs)))
-        delta_s = (_norm(rho) / sig + _norm(e_z)) * (1 + g) ** 2
+        z = x - np.vecmat(y, R)
+        e_z = g * (np.abs(x) + np.vecmat(np.abs(y), absR))
+        rho = (np.abs(np.matvec(G, y) - t) + g * (np.matvec(np.abs(G), np.abs(y)) + np.abs(t))
+               + np.matvec(G_err, np.abs(y)) + g * (np.matvec(absR, np.abs(x)) + np.abs(rhs)))
+        delta_s = (vector_norm(rho, axis=-1) / sig + vector_norm(e_z, axis=-1)) * (1 + g) ** 2
         N = dim + k
         eps_b = gamma(16 * N * N)
         k_norm = (1 + np.sqrt(1 + 4 * norm_R ** 2)) / 2 * (1 + g)
         k_inv = (1 + g) / np.minimum(1.0, 2 * sig ** 2 / (1 + np.sqrt(1 + 4 * sig ** 2)))
         kappa = k_norm * k_inv
-        delta_l = 4 * eps_b * kappa * k_inv * np.sqrt(x @ x + _norm(rhs) ** 2) * (1 + g) ** 2
+        delta_l = (4 * eps_b * kappa * k_inv * np.sqrt(x @ x + vector_norm(rhs, axis=-1) ** 2)
+                   * (1 + g) ** 2)
         delta = (delta_s + delta_l) * (1 + g)
         ok = (sig > 0) & np.isfinite(delta) & (kappa * (eps_b + 2 * N * 2 * U) <= 0.5)
         row_l1 = np.sum(np.abs(A), axis=1)
         margin = ((1 + g) * delta[:, None] * row_l1
                   + 2 * g * (np.abs(z) @ np.abs(A).T + np.abs(a))) * (1 + g)
         fails = ok & np.any(z @ A.T - a - margin > _CHECK_TOL, axis=1)
-        low = (_norm(z - x) * (1 - g) - delta) * (1 - g)
+        low = (vector_norm(z - x, axis=-1) * (1 - g) - delta) * (1 - g)
         d_lo = np.where(ok & (low > 0), low, 0.0)
     return fails, d_lo
 

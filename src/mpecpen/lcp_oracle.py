@@ -157,16 +157,15 @@ def _check_chunk(M: np.ndarray, q: np.ndarray, idx: np.ndarray) -> tuple[int, np
     order, the basic solutions y that pass: y >= -FEAS_TOL,
     w = M y + q >= -FEAS_TOL and |y'w| <= FEAS_TOL.  A basis is singular
     when its solve fails, is not finite or leaves a residual
-    max |M_II y_I + q_I| above 1e-8 max(1, max |q_I|); the stacked product
-    M_II @ y_I makes the same matrix-vector call per basis as an unstacked
-    one.  ``np.matvec`` and ``np.vecdot`` make per row the BLAS call of a
-    1-D ``@``, so w and y'w have the bits of a basis checked alone.
+    max |M_II y_I + q_I| above 1e-8 max(1, max |q_I|).  ``np.matvec`` and
+    ``np.vecdot`` make per row the BLAS call of a 1-D ``@``, so that
+    residual, w and y'w have the bits of a basis checked alone.
     """
     subs = _principal_submatrices(M, idx)
     q_i = q.take(idx)
     y_i = _solve_stack(subs, -q_i)
     with np.errstate(all="ignore"):
-        residual = np.max(np.abs((subs @ y_i[..., None])[..., 0] + q_i), axis=1, initial=0.0)
+        residual = np.max(np.abs(np.matvec(subs, y_i) + q_i), axis=1, initial=0.0)
         singular = (~np.all(np.isfinite(y_i), axis=1)
                     | (residual > 1e-8 * np.max(np.abs(q_i), axis=1, initial=1.0)))
         keep = ~singular & np.all(y_i >= -FEAS_TOL, axis=1)

@@ -165,12 +165,6 @@ class QuadObjective:
         """
         return sum([_F_TERMS[i](self, x, y) for i in self._terms], np.zeros(len(x))) + self.const
 
-    def value(self, x, y) -> float:
-        """f(x, y): one row of ``values``."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return float(self.values(x[None], y[None])[0])
-
     def grad(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -258,9 +252,10 @@ class MpecProblem:
     # -- evaluations ----------------------------------------------------
 
     def f_value(self, x, y) -> float:
-        """The upper-level objective f(x, y)."""
-        return self.objective.value(_as_vector(x, "x", size=self.n),
-                                    _as_vector(y, "y", size=self.m))
+        """The upper-level objective f(x, y): one row of ``QuadObjective.values``."""
+        x = _as_vector(x, "x", size=self.n)
+        y = _as_vector(y, "y", size=self.m)
+        return float(self.objective.values(x[None], y[None])[0])
 
     def F(self, x, y) -> np.ndarray:
         """The lower-level map F(x, y) = M y + q(x)."""

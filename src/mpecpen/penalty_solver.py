@@ -30,8 +30,8 @@ Each accepted point gets one poll matrix D: the coordinate rows
 +e_0, -e_0, +e_1, ... followed by the tangent rows.  A sweep forms every
 trial clip(z + step*D) at once; rows that the clip leaves equal to z are
 skipped free of charge.  The others are evaluated in one batch, the
-landscape's ``values``, which gives each row the bits of ``penalized``
-on it, and the first strict improvement is taken, so the iterates are
+landscape's ``values``, which gives each row the bits of a one-row batch
+of it, and the first strict improvement is taken, so the iterates are
 those of a loop that evaluates one direction at a time.  A sweep charges
 its trials up to and including the first improvement, or, when none
 improves, every trial of the sweep cut to the budget left.  Only strict
@@ -49,10 +49,12 @@ so a point is certified only when no direction the search polls descends.
 Those rows go through the directional calculus as one direction matrix,
 in one pass, and each row's slope has the bits of that row alone.
 
-Everything runs on a small landscape interface (objective, residual,
-batched values, row-wise growth expansions and slopes, box), so the same
+Everything runs on a small landscape interface (f and r at each row of
+a trial matrix, row-wise growth expansions and slopes, box), so the same
 loop drives both LCP-MPEC problems and custom one-dimensional
-constructions.
+constructions.  A landscape gives f and r only; the penalty
+f + alpha * max(r, 0)**gamma is formed once, in ``Landscape.values``,
+from the solver's alpha and gamma.  A point is a batch of one row.
 """
 
 from __future__ import annotations
@@ -105,6 +107,11 @@ class PenaltyConfig:
         for name in ("eps_feas", "eps_stat"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("max_outer", "max_inner"):
+            value = getattr(self, name)
+            # a float budget would fail deep in the loop, in range() or a slice
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         if self.max_inner < 0:
@@ -156,8 +163,10 @@ class Landscape:
 
     lower: np.ndarray
     upper: np.ndarray
-    objective: Callable[[np.ndarray], float]
-    residual: Callable[[np.ndarray], float]
+    #: f at each row of a (k, dim) trial matrix, one entry per row
+    objective: Callable[[np.ndarray], np.ndarray]
+    #: the residual r at each row of a (k, dim) trial matrix, one entry per row
+    residual: Callable[[np.ndarray], np.ndarray]
     #: one-sided growth (r0, slope, curve) of the residual along z + t d for
     #: each row d of a (k, dim) direction matrix, each with one entry per row
     expansion: Callable[[np.ndarray, np.ndarray],
@@ -167,9 +176,6 @@ class Landscape:
     objective_slope: Callable[[np.ndarray, np.ndarray], np.ndarray]
     #: maps a raw iterate to the KktPoint a report gives
     as_point: Callable[[np.ndarray], KktPoint]
-    #: f + alpha * max(r, 0)**gamma at each row of a (k, dim) trial matrix,
-    #: the one evaluator of the penalty (``penalized`` reads one row of it)
-    values: Callable[[np.ndarray, float, float], np.ndarray]
     #: never set by the solver; only bench/spans.py reads it
     sqrt_grad: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     #: extra poll directions that follow the feasible manifold, as a
@@ -183,9 +189,11 @@ class Landscape:
     def dim(self) -> int:
         return self.lower.size
 
-    def penalized(self, z: np.ndarray, alpha: float, gamma: float) -> float:
-        """f + alpha * max(r, 0)**gamma at z: one row of ``values``."""
-        return float(self.values(z[None], alpha, gamma)[0])
+    def values(self, trials: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
+        """f + alpha * max(r, 0)**gamma at each row of a (k, dim) trial
+        matrix, from one objective batch and one residual batch: the one
+        place the solver forms the penalty."""
+        return res._penalty(self.objective(trials), self.residual(trials), alpha, gamma)
 
 
 def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscape:
@@ -264,10 +272,9 @@ def landscape_from_problem(problem: MpecProblem, spec: ResidualSpec) -> Landscap
         return dirs
 
     return Landscape(lower=problem.z_lower, upper=upper,
-                     objective=kernel.objective, residual=kernel.residual,
+                     objective=kernel.objectives, residual=kernel.residuals,
                      expansion=kernel.expansion,
-                     objective_slope=kernel.objective_slope,
-                     as_point=as_point, values=kernel.values,
+                     objective_slope=kernel.objective_slope, as_point=as_point,
                      tangent_polls=tangent_polls, spec=spec)
 
 
@@ -284,17 +291,8 @@ def q5_toy_landscape() -> Landscape:
         # bits the toy's pinned reports carry
         return t * t, np.float_power(t - 3.0, 2.0) + 1.0
 
-    def residuals(trials):
+    def residual(trials):
         return np.minimum(*branches(trials[:, 0]))
-
-    def residual(z):
-        return float(residuals(z[None])[0])
-
-    def objective(z):
-        return float(z[0])
-
-    def values(trials, alpha, gamma):
-        return res._penalty(trials[:, 0], residuals(trials), alpha, gamma)
 
     def objective_slope(z, D):
         return D[:, 0]
@@ -304,13 +302,12 @@ def q5_toy_landscape() -> Landscape:
         a, b = branches(z[:1])
         slope = res._min_rates(a, b, 2.0 * t * dt, 2.0 * (t - 3.0) * dt)
         # both branches have unit quadratic coefficient in t
-        return np.full(len(D), residual(z)), slope, dt * dt
+        return np.full(len(D), residual(z[None])[0]), slope, dt * dt
 
-    return Landscape(lower=lower, upper=upper, objective=objective,
+    return Landscape(lower=lower, upper=upper, objective=lambda trials: trials[:, 0],
                      residual=residual, expansion=expansion,
                      objective_slope=objective_slope,
-                     as_point=lambda z: KktPoint(z, np.zeros(0), np.zeros(0)),
-                     values=values)
+                     as_point=lambda z: KktPoint(z, np.zeros(0), np.zeros(0)))
 
 
 # -- inner solver ---------------------------------------------------------
@@ -336,7 +333,7 @@ def _compass(land: Landscape, alpha: float, gamma: float, z0: np.ndarray,
              budget: int, callback: Optional[Callable[[np.ndarray, float], None]] = None
              ) -> tuple[np.ndarray, float, int]:
     z = np.clip(z0, land.lower, land.upper)
-    phi = land.penalized(z, alpha, gamma)
+    phi = float(land.values(z[None], alpha, gamma)[0])
     if callback:
         callback(z, phi)
     evals = 0
@@ -428,10 +425,10 @@ def run_continuation(land: Landscape, config: PenaltyConfig,
     prev_r = None
     for _ in range(config.max_outer):
         z, phi, _ = _compass(land, alpha, gamma, z, config.max_inner)
-        r = land.residual(z)
+        r = float(land.residual(z[None])[0])
         alphas.append(alpha)
         rs.append(r)
-        fs.append(land.objective(z))
+        fs.append(float(land.objective(z[None])[0]))
         phis.append(phi)
         if r <= config.eps_feas:
             classification = CLASS_FEASIBLE

@@ -37,19 +37,22 @@ validated wrappers that check their input and make one call into it.
 Whatever needs the growth expansion gets its kernel from
 ``penalty_kernel``, which refuses the product kind.
 
-The kernel evaluates in batches, and a point is a batch of one row:
-``residuals`` and ``values`` take a (k, dim) matrix of points, and the
-point functions (``residual``, ``QuadObjective.value`` and
-``penalized_objective``) read row 0 of the batch they make of their
-point, so the residual, the objective and the penalty are each written
-once.  A row's value does not depend on the rows around it: the per-row
-products are ``np.vecdot`` and ``np.matvec``, which make per row the
-BLAS call of a 1-D ``@``, and the power is libm's pow, as Python's ``**``
-is.  So a compass sweep that evaluates its trials in one batch gets, bit
-for bit, the values of evaluating each trial alone, and the slopes along
-a poll matrix are, bit for bit, those of each direction alone.  The
-objective leaves out each term whose block is all zero, which changes no
-bit of a finite row (see ``QuadObjective.values``).
+The kernel evaluates only in batches, and a point is a batch of one row:
+``objectives`` and ``residuals`` give f and r at each row of a (k, dim)
+matrix of points, and ``_penalty`` forms f + alpha * max(r, 0)**gamma
+from the two batches.  The solver's landscape forms the penalty the same
+way, once, in ``Landscape.values``.  The point functions
+(``residual_value``, ``penalized_objective`` and ``sqrt_grad``) read row
+0 of the batch they make of their point, so the residual, the objective
+and the penalty are each written once.  A row's value does not depend on
+the rows around it: the per-row products are ``np.vecdot`` and
+``np.matvec``, which make per row the BLAS call of a 1-D ``@``, and the
+power is libm's pow, as Python's ``**`` is.  So a compass sweep that
+evaluates its trials in one batch gets, bit for bit, the values of
+evaluating each trial alone, and the slopes along a poll matrix are, bit
+for bit, those of each direction alone.  The objective leaves out each
+term whose block is all zero, which changes no bit of a finite row (see
+``QuadObjective.values``).
 """
 
 from __future__ import annotations
@@ -250,16 +253,17 @@ class _Kernel:
         """Rate of change of F along each row of stacked (dx, dy)."""
         return np.matvec(self.M, dy) + np.matvec(self.Q, dx)
 
-    def objective(self, z: np.ndarray) -> float:
-        x, y, _ = self._split(z)
-        return self.f.value(x, y)
-
     def objective_slope(self, z: np.ndarray, D: np.ndarray) -> np.ndarray:
         """The slope of f at z along each row of a (k, dim) direction matrix."""
         x, y, _ = self._split(z)
         dx, dy, _ = self._split(D)
         gx, gy = self.f.grad(x, y)
         return np.vecdot(gx, dx) + np.vecdot(gy, dy)
+
+    def objectives(self, trials: np.ndarray) -> np.ndarray:
+        """f at each row of a (k, dim) trial matrix."""
+        x, y, _ = self._split(trials)
+        return self.f.values(x, y)
 
     def residuals(self, trials: np.ndarray) -> np.ndarray:
         """The residual selected by spec.kind (and the kkt variant) at each
@@ -278,18 +282,6 @@ class _Kernel:
         # |lambda_i y_i| is sign-safe at iterates with negative components
         return (_norms(s, spec.norm) + np.maximum(-y, 0.0).sum(axis=1)
                 + np.maximum(-lam, 0.0).sum(axis=1) + np.abs(lam * y).sum(axis=1))
-
-    def residual(self, z: np.ndarray) -> float:
-        """The residual at z: one row of ``residuals``."""
-        return float(self.residuals(z[None])[0])
-
-    def values(self, trials: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
-        """f + alpha * max(r, 0)**gamma at each row of a (k, dim) trial
-        matrix, from ``QuadObjective.values`` and ``residuals`` on the rows;
-        the one evaluator of the penalty, whose row 0 the point functions
-        read (see the module docstring)."""
-        x, y, _ = self._split(trials)
-        return _penalty(self.f.values(x, y), self.residuals(trials), alpha, gamma)
 
     def expansion(self, z: np.ndarray, D: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -346,7 +338,7 @@ class _Kernel:
         """
         x, y, lam = self._split(z)
         s = self._F(x, y) - lam
-        r = self.residual(z)
+        r = float(self.residuals(z[None])[0])
         if r <= KINK_TOLERANCE:
             raise AtKink(f"residual {r:.3e} is at or below the kink tolerance "
                          f"{KINK_TOLERANCE:.1e}; use directional derivatives")
@@ -391,7 +383,7 @@ def residual_value(problem: MpecProblem, z: KktPoint, spec: ResidualSpec) -> flo
     negative components, so penalty evaluation clamps it at zero.
     """
     z.check_dims(problem)
-    return _Kernel(problem, spec).residual(z.to_z())
+    return float(_Kernel(problem, spec).residuals(z.to_z()[None])[0])
 
 
 def penalized_objective(problem: MpecProblem, z: KktPoint, alpha: float,
@@ -399,7 +391,9 @@ def penalized_objective(problem: MpecProblem, z: KktPoint, alpha: float,
     """f(x, y) + alpha * max(r(z), 0)^gamma with r selected by ``spec.kind``."""
     _check_alpha(alpha)
     z.check_dims(problem)
-    return float(_Kernel(problem, spec).values(z.to_z()[None], alpha, spec.gamma)[0])
+    kernel, point = _Kernel(problem, spec), z.to_z()[None]
+    return float(_penalty(kernel.objectives(point), kernel.residuals(point), alpha,
+                          spec.gamma)[0])
 
 
 def residual_expansion(problem: MpecProblem, z: KktPoint, d: np.ndarray,

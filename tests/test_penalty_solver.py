@@ -75,6 +75,16 @@ class TestConfig:
         PenaltyConfig(growth=1.0, alpha_fixed=True)  # growth unused when fixed
         PenaltyConfig(max_outer=1, max_inner=0)
 
+    def test_budgets_must_be_integers(self):
+        # a float budget would otherwise fail in the loop, in range() or a
+        # slice; bool is an int, but no budget
+        for name in ("max_outer", "max_inner"):
+            for bad in (2.0, 1e3, "5", True, np.float64(3.0)):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                    PenaltyConfig(**{name: bad})
+            for good in (3, np.int64(3), np.int32(3)):
+                assert getattr(PenaltyConfig(**{name: good}), name) == 3
+
     def test_effective_spec_overrides_gamma(self):
         cfg = PenaltyConfig(gamma=1.0)
         assert cfg.effective_spec().gamma == 1.0
@@ -101,9 +111,8 @@ class TestInnerMinimize:
         # on the landscape whose values penalized_objective computes
         land = landscape_from_problem(bilevel, SQ)
         pts = np.linspace(0.0, 2.0, 41)
-        best = min(land.penalized(np.array([x, u, l]), 2.0, SQ.gamma)
-                   for x in pts for u in pts for l in pts)
-        assert best >= -1e-9
+        grid = np.array([[x, u, l] for x in pts for u in pts for l in pts])
+        assert land.values(grid, 2.0, SQ.gamma).min() >= -1e-9
 
     def test_monotone_descent_and_box(self, lcp_param):
         history = []
@@ -406,14 +415,14 @@ class TestNaturalLandscape:
             m = problem.m
             land = _setting_landscape(problem, kind, norm, squared, gamma)
 
-            def observed(rows, alpha, gamma, values=land.values, m=m):
+            def observed(rows, residual=land.residual, m=m):
                 if current[0] is None:
-                    return values(rows, alpha, gamma)
+                    return residual(rows)
                 evaluated[0] += len(rows)
                 lambda_only[0] += int(np.sum((rows[:, :-m] == current[0][:-m]).all(axis=1)))
-                return values(rows, alpha, gamma)
+                return residual(rows)
 
-            land = replace(land, values=observed)
+            land = replace(land, residual=observed)
             for alpha in (1.0, 100.0):
                 current[0] = None
                 z, _, _ = _compass(land, alpha, gamma, np.array(instances._start(rng, doc)),
@@ -583,9 +592,10 @@ instances = _load_bench_instances()
 
 def reference_compass(land, alpha, gamma, z0, budget, callback=None):
     """The compass loop as it was before the poll matrix and the screen:
-    one trial vector, clip and evaluation per poll direction."""
+    one trial vector, clip and evaluation per poll direction, each trial
+    evaluated as a one-row batch."""
     z = np.clip(z0, land.lower, land.upper)
-    phi = land.penalized(z, alpha, gamma)
+    phi = float(land.values(z[None], alpha, gamma)[0])
     if callback:
         callback(z, phi)
     evals = 0
@@ -606,7 +616,7 @@ def reference_compass(land, alpha, gamma, z0, budget, callback=None):
                 continue
             if evals >= budget:
                 return z, phi, evals
-            phi_t = land.penalized(trial, alpha, gamma)
+            phi_t = float(land.values(trial[None], alpha, gamma)[0])
             evals += 1
             if phi_t < phi:
                 z, phi = trial, phi_t
@@ -741,6 +751,34 @@ class TestCompassSweep:
     def test_min_and_norm_sweeps_charge_their_trials(self, spec):
         assert_charged(_degenerate_planted(), spec)
 
+    def test_objective_and_residual_see_the_same_batches(self, lcp_param):
+        # the penalty is formed from one objective batch and one residual
+        # batch of the same rows, so a recorder wrapped around either field
+        # sees every trial the sweep charges
+        problem = _degenerate_planted()
+        lands = [(landscape_from_problem(lcp_param, SQ), SQ.gamma),
+                 (landscape_from_problem(problem, ResidualSpec("min", "l2", 1.0)), 1.0),
+                 (landscape_from_problem(problem, ResidualSpec("kkt", "l1", 0.5)), 0.5),
+                 (q5_toy_landscape(), 0.5)]
+        for land, gamma in lands:
+            seen = {"objective": [], "residual": []}
+
+            def recorded(name, fn):
+                def call(trials):
+                    seen[name].append((trials.shape, trials.tobytes()))
+                    return fn(trials)
+                return call
+
+            land = replace(land, **{name: recorded(name, getattr(land, name))
+                                    for name in seen})
+            z0 = 0.5 * (land.lower + land.upper)
+            for alpha, budget in ((1.0, 0), (1.0, 7), (10.0, 400)):
+                for batches in seen.values():
+                    batches.clear()
+                _, _, evals = _compass(land, alpha, gamma, z0, budget)
+                assert seen["objective"] == seen["residual"]
+                assert sum(shape[0] for shape, _ in seen["residual"]) >= evals
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2), m=st.integers(2, 5),
            family=st.sampled_from(["planted", "degenerate", "generic"]),
@@ -766,14 +804,14 @@ VALUE_SETTINGS = sorted({setting[:4] for setting in instances.RESIDUAL_SETTINGS}
 
 
 def assert_values_per_row(land, trials, alpha, gamma):
-    # every row keeps the bits of ``penalized`` on a fresh copy of it;
-    # ``penalized`` is one row of ``values``, so this checks only that a
-    # row's value does not depend on the rows around it (the formulas are
-    # checked against an independent transcription in test_residuals.py)
+    # every row keeps the bits of a one-row batch of a fresh copy of it,
+    # so this checks only that a row's value does not depend on the rows
+    # around it (the formulas are checked against an independent
+    # transcription in test_residuals.py)
     got = land.values(trials, alpha, gamma)
     assert got.shape == (len(trials),)
     for i, row in enumerate(trials):
-        want = np.float64(land.penalized(row.copy(), alpha, gamma))
+        want = land.values(row.copy()[None], alpha, gamma)[0]
         assert got[i].tobytes() == want.tobytes(), (i, got[i], want)
 
 
@@ -803,8 +841,8 @@ class TestBatchedValues:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), m=st.integers(1, 8),
            generic=st.booleans(), setting=st.sampled_from(VALUE_SETTINGS),
            step=st.floats(1e-7, 2.0), alpha=st.sampled_from([0.0, 1.0, 1e4]))
-    def test_values_match_penalized_per_row(self, seed, n, m, generic, setting, step,
-                                            alpha):
+    def test_values_match_one_row_batches(self, seed, n, m, generic, setting, step,
+                                          alpha):
         rng, doc = _generated(seed, n, m, generic)
         kind, norm, squared, gamma = setting
         land = _setting_landscape(problem_from_dict(doc), kind, norm, squared, gamma)
